@@ -8,7 +8,6 @@
 
 int main(int argc, char** argv) {
   using namespace ag;
-  harness::install_interrupt_handlers();
   const std::uint32_t seeds = harness::seeds_from_env(2);
 
   harness::ScenarioConfig base = bench::paper_base();
@@ -23,10 +22,6 @@ int main(int argc, char** argv) {
           .parallel()
           .name("ablation_gossip_rate")
           .run();
-  if (harness::interrupt_requested()) {
-    std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
-    return harness::interrupt_exit_code();
-  }
 
   std::printf("== Ablation: gossip round interval ==\n");
   std::printf("%-14s %-12s | %10s %6s %6s | %9s | %s\n", "protocol", "interval(ms)",

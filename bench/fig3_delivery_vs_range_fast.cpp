@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
       "  range_m = {45..85} (transmission range, meters)");
   const std::uint32_t seeds = harness::seeds_from_env(3);
   return bench::run_two_series_figure(
-      argc, argv,
       "Figure 3: Packet Delivery vs Transmission Range (speed 2 m/s)",
       "range(m)", "fig3.csv", {45, 50, 55, 60, 65, 70, 75, 80, 85},
       [](harness::ScenarioConfig& c, double x) {

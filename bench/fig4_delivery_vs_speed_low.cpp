@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
       "  max_speed_mps = {0.1..1.0}");
   const std::uint32_t seeds = harness::seeds_from_env(3);
   return bench::run_two_series_figure(
-      argc, argv,
       "Figure 4: Packet Delivery vs Maximum Speed (low range: 0.1-1 m/s)",
       "speed(m/s)", "fig4.csv", {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
       [](harness::ScenarioConfig& c, double x) {

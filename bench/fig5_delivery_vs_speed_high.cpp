@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
       "  max_speed_mps = {1..10}");
   const std::uint32_t seeds = harness::seeds_from_env(3);
   return bench::run_two_series_figure(
-      argc, argv,
       "Figure 5: Packet Delivery vs Maximum Speed (high range: 1-10 m/s)",
       "speed(m/s)", "fig5.csv", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
       [](harness::ScenarioConfig& c, double x) {

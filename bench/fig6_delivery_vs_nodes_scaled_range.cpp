@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
       "  node_count = {40..100} (range scaled to hold mean degree)");
   const std::uint32_t seeds = harness::seeds_from_env(2);
   return bench::run_two_series_figure(
-      argc, argv,
       "Figure 6: Packet Delivery vs Number of Nodes (constant mean degree)",
       "#nodes", "fig6.csv", {40, 50, 60, 70, 80, 90, 100},
       [](harness::ScenarioConfig& c, double x) {

@@ -12,7 +12,6 @@ int main(int argc, char** argv) {
       "  node_count = {40..100}");
   const std::uint32_t seeds = harness::seeds_from_env(2);
   return bench::run_two_series_figure(
-      argc, argv,
       "Figure 7: Packet Delivery vs Number of Nodes (fixed 55 m range)",
       "#nodes", "fig7.csv", {40, 50, 60, 70, 80, 90, 100},
       [](harness::ScenarioConfig& c, double x) {

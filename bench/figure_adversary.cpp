@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
       "  adversary_fraction x mode {blackhole, selective_forward,\n"
       "  gossip_poison} x isolation {off, on}",
       "  --smoke           2 modes x 3 fractions, 120 s runs (CI)\n");
-  harness::install_interrupt_handlers();
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   // Two seeds even in smoke: the recovery margins this figure exists to
   // show are a handful of packets per run, and one seed of a 120 s
@@ -167,10 +166,6 @@ int main(int argc, char** argv) {
   for (const Mode& mode : modes) {
     for (const bool isolation : {false, true}) {
       for (const double fraction : fractions) {
-        if (harness::interrupt_requested()) {
-          std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
-          return harness::interrupt_exit_code();
-        }
         harness::ScenarioConfig cell_base = base;
         cell_base.faults.spec.adversary_mode = mode.mode;
         cell_base.trust.enabled = isolation;
@@ -229,10 +224,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (harness::interrupt_requested()) {
-    std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
-    return harness::interrupt_exit_code();
-  }
   if (!write_adversary_json("BENCH_adversary.json", cells, seeds)) {
     std::fprintf(stderr, "error: failed to write BENCH_adversary.json\n");
     return 1;

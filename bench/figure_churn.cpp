@@ -7,11 +7,8 @@
 // matters. Delivery is accounted per live membership interval: a member
 // is only charged for packets sourced while it was subscribed.
 //
-// Usage: figure_churn [--smoke] [--protocols=name,name] [--shards[=N]]
-//                     [--resume] [--merge]
+// Usage: figure_churn [--smoke] [--protocols=name,name]
 //   --smoke shrinks the run for CI (short duration, two churn points).
-//   --shards runs through the crash-resumable sharded driver; CI uses it
-//   with AG_SHARD_FAULT to prove recovery merges byte-identically.
 #include <cstdio>
 
 #include "figure_common.h"
@@ -57,7 +54,6 @@ int main(int argc, char** argv) {
             std::printf("  [churn %zu/%zu runs]\n", done, total);
             std::fflush(stdout);
           });
-  return bench::finish_figure(builder, bench::parse_shard_cli(argc, argv), argv[0],
-                              "Delivery under churn + crashes + partition",
+  return bench::finish_figure(builder, "Delivery under churn + crashes + partition",
                               "churn/min", "churn.csv", "BENCH_churn.json", seeds);
 }

@@ -3,14 +3,6 @@
 // Gossip-vs-MAODV series every figure plots, built on the fluent
 // ExperimentBuilder (seeds run in parallel; results land as a table, a
 // CSV, and a machine-readable BENCH_<fig>.json).
-//
-// Every ExperimentBuilder-based bench also speaks the sharded-driver CLI
-// (see harness/shard_driver.h): `--shards[=N]` supervises one worker
-// subprocess per (protocol, x, seed) cell with checkpoints, timeouts and
-// retries; `--resume` reuses checkpoints from a crashed/killed run;
-// `--shard=<i>` is the internal worker mode the supervisor re-invokes the
-// binary with. A fully-completed sharded run merges byte-identically to
-// the serial one.
 #ifndef AG_BENCH_FIGURE_COMMON_H
 #define AG_BENCH_FIGURE_COMMON_H
 
@@ -26,11 +18,8 @@
 
 #include "harness/experiment_builder.h"
 #include "harness/figure.h"
-#include "harness/interrupt.h"
 #include "harness/protocol_registry.h"
 #include "harness/scenario.h"
-#include "harness/shard.h"
-#include "harness/shard_driver.h"
 
 namespace ag::bench {
 
@@ -80,151 +69,26 @@ inline void handle_help_flag(int argc, char** argv, const char* description,
   std::printf(
       "  --protocols=a,b   protocol series to run (registry names; see error\n"
       "                    message of an unknown name for the full list)\n"
-      "  --shards[=N]      sharded run: one worker subprocess per\n"
-      "                    (protocol, x, seed) cell, N concurrent (default\n"
-      "                    AG_SHARDS, else hardware threads), with per-shard\n"
-      "                    checkpoints, timeouts, and retry with backoff\n"
-      "  --resume          sharded run reusing checkpoints left by an\n"
-      "                    earlier crashed/killed invocation\n"
-      "  --merge           merge existing checkpoints only; never launches\n"
-      "                    workers (missing cells land in failed_shards)\n"
-      "  --shard-dir=<d>   checkpoint directory (default shards_<name>/)\n"
       "  --help, -h        this text\n"
       "\nEnvironment knobs (all runs are bit-identical across the engine\n"
-      "hatches; see README \"Environment knobs\"):\n"
+      "hatches; see README \"Environment variables\"):\n"
       "  AG_SEEDS=<n>            seeds per point (overrides the default)\n"
       "  AG_SPATIAL_INDEX=off    brute-force phy neighbor scan\n"
       "  AG_DENSE_TABLES=off     ordered-map table backends\n"
       "  AG_BATCHED_BACKOFF=off  per-slot MAC contention reference engine\n"
-      "  AG_CUSTODY=off          force the DTN custody tier off\n"
-      "  AG_ADVERSARY=off        force the adversary/trust axis off\n"
-      "  AG_SHARDS=<n>           concurrent shard workers for --shards\n"
-      "  AG_SHARD_TIMEOUT=<s>    per-shard wall-clock kill timeout (600)\n"
-      "  AG_SHARD_RETRIES=<n>    attempts per shard before failing it (3)\n"
-      "  AG_SHARD_BACKOFF_MS=<n> retry backoff base, doubled per retry (250)\n"
-      "  AG_SHARD_FAULT=m@i[xT]  inject crash|hang|corrupt at shard i on\n"
-      "                          attempts 1..T (self-test hook)\n");
+      "  AG_BATCHED_PHY=off      per-receiver radio reference engine\n");
   std::exit(0);
 }
 
-// Shard-control flags shared by every ExperimentBuilder bench. Everything
-// not recognized here is forwarded verbatim to worker subprocesses so
-// they rebuild the identical sweep (--smoke, --protocols=..., ...).
-struct ShardCli {
-  bool worker{false};           // --shard=<i>: run one cell, write checkpoint
-  std::size_t shard_index{0};
-  std::uint32_t shard_attempt{1};
-  bool supervise{false};        // --shards[=N] / --resume / --merge
-  unsigned concurrency{0};      // explicit N from --shards=N (0 = env/default)
-  bool resume{false};
-  bool merge_only{false};
-  std::string shard_dir;        // --shard-dir= (empty = shards_<name>/)
-  std::vector<std::string> forwarded;  // bench args minus shard-control flags
-};
-
-inline ShardCli parse_shard_cli(int argc, char** argv) {
-  ShardCli cli;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--shard=", 8) == 0) {
-      cli.worker = true;
-      cli.shard_index = static_cast<std::size_t>(std::strtoull(arg + 8, nullptr, 10));
-    } else if (std::strncmp(arg, "--shard-attempt=", 16) == 0) {
-      const unsigned long v = std::strtoul(arg + 16, nullptr, 10);
-      cli.shard_attempt = v > 0 ? static_cast<std::uint32_t>(v) : 1u;
-    } else if (std::strncmp(arg, "--shard-dir=", 12) == 0) {
-      cli.shard_dir = arg + 12;
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      cli.supervise = true;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      cli.supervise = true;
-      cli.concurrency = static_cast<unsigned>(std::strtoul(arg + 9, nullptr, 10));
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      cli.supervise = true;
-      cli.resume = true;
-    } else if (std::strcmp(arg, "--merge") == 0) {
-      cli.supervise = true;
-      cli.merge_only = true;
-    } else {
-      cli.forwarded.emplace_back(arg);
-    }
-  }
-  return cli;
-}
-
-// Shared tail for every ExperimentBuilder bench: dispatches on the shard
-// CLI (worker cell / sharded supervisor / plain in-process run), prints
-// the table, and writes the CSV + BENCH JSON atomically. Returns the
-// process exit code; on SIGINT/SIGTERM no merged outputs are written and
-// the code is 128+signo (shard checkpoints are kept for --resume).
+// Shared tail for every ExperimentBuilder bench: runs the sweep in-process,
+// prints the table, and writes the CSV + BENCH JSON atomically. Returns
+// the process exit code.
 inline int finish_figure(const harness::ExperimentBuilder& builder,
-                         const ShardCli& cli, const char* exe,
                          const std::string& title, const std::string& x_label,
                          const std::string& csv_name, const std::string& json_name,
                          std::uint32_t seeds) {
-  harness::install_interrupt_handlers();
-
-  if (cli.worker) {
-    if (cli.shard_index >= builder.cell_count()) {
-      std::fprintf(stderr, "%s: --shard=%zu out of range (%zu cells)\n", exe,
-                   cli.shard_index, builder.cell_count());
-      return 2;
-    }
-    const std::string dir = cli.shard_dir.empty()
-                                ? "shards_" + builder.experiment_name()
-                                : cli.shard_dir;
-    const std::string path = dir + "/" + harness::shard_file_name(cli.shard_index);
-    harness::maybe_inject_shard_fault(harness::shard_fault_from_env(),
-                                      cli.shard_index, cli.shard_attempt, path);
-    const stats::RunResult result = builder.run_cell(cli.shard_index);
-    if (harness::interrupt_requested()) return harness::interrupt_exit_code();
-    if (!harness::write_shard_json(path, builder.experiment_name(), cli.shard_index,
-                                   builder.cell_id(cli.shard_index), result)) {
-      std::fprintf(stderr, "%s: failed to write %s\n", exe, path.c_str());
-      return 1;
-    }
-    return 0;
-  }
-
-  harness::ExperimentResult result;
-  if (cli.supervise) {
-    harness::ShardDriverOptions opts;
-    opts.exe = exe;
-    opts.worker_args = cli.forwarded;
-    opts.shard_dir = cli.shard_dir;
-    opts.concurrency = cli.concurrency;
-    opts.resume = cli.resume;
-    opts.merge_only = cli.merge_only;
-    harness::ShardRunReport report;
-    try {
-      report = harness::run_shards(builder, opts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", exe, e.what());
-      return 1;
-    }
-    if (report.interrupted) {
-      std::fprintf(stderr,
-                   "%s: interrupted; checkpoints kept, rerun with --resume\n", exe);
-      return harness::interrupt_exit_code();
-    }
-    result = builder.assemble(std::move(report.results), std::move(report.sharding));
-  } else {
-    result = builder.run();
-    if (harness::interrupt_requested()) {
-      std::fprintf(stderr, "%s: interrupted; no outputs written\n", exe);
-      return harness::interrupt_exit_code();
-    }
-  }
-
+  const harness::ExperimentResult result = builder.run();
   result.print(title, x_label);
-  for (const harness::FailedShard& f : result.sharding.failed) {
-    std::fprintf(stderr,
-                 "warning: shard %zu (%s, %s=%g, seed %u) failed after %u "
-                 "attempt%s: %s — its seed is missing from the aggregate\n",
-                 f.shard, f.cell.protocol.c_str(), result.param.c_str(), f.cell.x,
-                 f.cell.seed, f.attempts, f.attempts == 1 ? "" : "s",
-                 f.reason.c_str());
-  }
   const bool csv_ok = result.write_csv(csv_name);
   const bool json_ok = result.write_json(json_name);
   if (!csv_ok || !json_ok) {
@@ -254,11 +118,10 @@ inline std::string stem_of(const std::string& file_name) {
 // Runs one x-sweep over `protocols` (default: the headline pair; benches
 // pass protocols_from_cli so `--protocols=` selects any registered set)
 // and emits the figure as a table, a CSV, and BENCH_<stem>.json. `apply`
-// mutates the config for a given x value. argc/argv select the run mode
-// (serial, `--shards`, `--resume`, worker `--shard=`); the return value
-// is the process exit code.
+// mutates the config for a given x value; the return value is the process
+// exit code.
 inline int run_two_series_figure(
-    int argc, char** argv, const std::string& title, const std::string& x_label,
+    const std::string& title, const std::string& x_label,
     const std::string& csv_name, const std::vector<double>& xs,
     const std::function<void(harness::ScenarioConfig&, double)>& apply,
     std::uint32_t seeds, harness::ScenarioConfig base = paper_base(),
@@ -276,8 +139,7 @@ inline int run_two_series_figure(
             std::printf("  [%s %zu/%zu runs]\n", title.c_str(), done, total);
             std::fflush(stdout);
           });
-  return finish_figure(builder, parse_shard_cli(argc, argv), argv[0], title,
-                       x_label, csv_name, json_name, seeds);
+  return finish_figure(builder, title, x_label, csv_name, json_name, seeds);
 }
 
 }  // namespace ag::bench

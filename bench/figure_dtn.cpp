@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
       "  custody_max_msgs = {0,16,64,256} x session duty x churn_per_min",
       "  --smoke           2x1x2 grid, short duration (CI)\n"
       "  --mega            10k nodes / 2M logical users, one cell\n");
-  harness::install_interrupt_handlers();
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const bool mega = bench::has_flag(argc, argv, "--mega");
   const std::uint32_t seeds = harness::seeds_from_env(smoke || mega ? 1 : 2);
@@ -167,10 +166,6 @@ int main(int argc, char** argv) {
   for (const double duty : duties) {
     for (const double churn : churns) {
       for (const double budget : budgets) {
-        if (harness::interrupt_requested()) {
-          std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
-          return harness::interrupt_exit_code();
-        }
         harness::ScenarioConfig cell_base = base;
         cell_base.sessions.duty = duty;
         cell_base.faults.spec.churn_per_min = churn;
@@ -213,10 +208,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (harness::interrupt_requested()) {
-    std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
-    return harness::interrupt_exit_code();
-  }
   if (!write_dtn_json("BENCH_dtn.json", cells, seeds, kSessionsPerNode)) {
     std::fprintf(stderr, "error: failed to write BENCH_dtn.json\n");
     return 1;

@@ -226,7 +226,6 @@ bool write_scale_json(const std::string& path, const std::vector<PointReport>& r
 
 int main(int argc, char** argv) {
   using namespace ag;
-  harness::install_interrupt_handlers();
   const std::uint32_t seeds = harness::seeds_from_env(1);
   const std::vector<harness::Protocol> protocols =
       bench::protocols_from_cli(argc, argv, bench::headline_protocols());
@@ -245,10 +244,6 @@ int main(int argc, char** argv) {
 
   std::vector<PointReport> reports;
   for (const std::size_t n : node_counts) {
-    if (harness::interrupt_requested()) {
-      std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
-      return harness::interrupt_exit_code();
-    }
     // Node-seconds cap: full 80 s through 1000 nodes, shrinking beyond
     // (see the header comment). Workload occupies the middle half.
     const double duration_s =
@@ -292,10 +287,6 @@ int main(int argc, char** argv) {
     reports.push_back({n, duration_s, wall_s, events, mix, std::move(result)});
   }
 
-  if (harness::interrupt_requested()) {
-    std::fprintf(stderr, "%s: interrupted; no outputs written\n", argv[0]);
-    return harness::interrupt_exit_code();
-  }
   if (!write_scale_json("BENCH_scale.json", reports, seeds, index_on)) {
     std::fprintf(stderr, "error: failed to write BENCH_scale.json\n");
     return 1;

@@ -114,18 +114,6 @@ def main() -> int:
             f"seeds: {seeds} · spatial index: {index} · dense tables: {dense}"
             f" · batched backoff: {batched} · batched phy: {batched_phy}\n"
         )
-    # Sharded-driver accounting: the "sharding" object exists only when a
-    # sharded run degraded (shards exhausted their retries); healthy and
-    # pre-shard BENCH files render the placeholder.
-    sharding = data.get("sharding")
-    if isinstance(sharding, dict):
-        print(
-            f"sharded driver: {int(_num(sharding.get('shards')))} shards · "
-            f"{int(_num(sharding.get('retried')))} retried · "
-            f"{int(_num(sharding.get('failed')))} failed\n"
-        )
-    else:
-        print("sharded driver: —\n")
     print(
         "| point | sim (s) | wall (s) | sim events | events/sec "
         "| events elided | effective ev/sec | per-protocol delivery "

@@ -1,10 +1,10 @@
 // Atomic file output: write to `<path>.tmp.<pid>`, then rename onto the
 // final path on commit. POSIX rename is atomic within a filesystem, so a
-// reader (or a resumed sharded run scanning for completed shard files)
-// can never observe a truncated or half-written file — either the old
-// content is there, or the complete new content is. Every BENCH_*.json /
-// CSV emitter in the tree writes through this, so an interrupted bench
-// leaves at worst a stale `.tmp.*` file behind, never a torn output.
+// reader can never observe a truncated or half-written file — either the
+// old content is there, or the complete new content is. Every
+// BENCH_*.json / CSV emitter in the tree writes through this, so a bench
+// killed mid-write (Ctrl-C, SIGTERM) leaves at worst a stale `.tmp.<pid>`
+// file behind, never a torn output.
 #ifndef AG_HARNESS_ATOMIC_IO_H
 #define AG_HARNESS_ATOMIC_IO_H
 

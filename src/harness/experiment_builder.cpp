@@ -3,12 +3,12 @@
 #include <atomic>
 #include <cstdio>
 #include <iomanip>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "harness/atomic_io.h"
-#include "harness/interrupt.h"
 #include "harness/protocol_registry.h"
 
 namespace ag::harness {
@@ -133,102 +133,24 @@ ExperimentBuilder& ExperimentBuilder::on_progress(
   return *this;
 }
 
-std::vector<Protocol> ExperimentBuilder::resolved_protocols() const {
-  if (!protocols_.empty()) return protocols_;
-  return {base_.protocol};
-}
-
-std::uint32_t ExperimentBuilder::resolved_seeds() const {
-  return seeds_ == 0 ? seeds_from_env() : seeds_;
-}
-
-std::size_t ExperimentBuilder::cell_count() const {
-  return resolved_protocols().size() * values_.size() * resolved_seeds();
-}
-
-ScenarioConfig ExperimentBuilder::cell_config(std::size_t index) const {
-  const std::vector<Protocol> protocols = resolved_protocols();
-  const std::uint32_t seeds = resolved_seeds();
-  const std::size_t per_protocol = values_.size() * seeds;
-  if (index >= protocols.size() * per_protocol) {
-    throw std::out_of_range("ExperimentBuilder: cell index " +
-                            std::to_string(index) + " out of range (grid has " +
-                            std::to_string(protocols.size() * per_protocol) +
-                            " cells)");
-  }
-  const std::size_t p = index / per_protocol;
-  const std::size_t v = (index % per_protocol) / seeds;
-  const auto s = static_cast<std::uint32_t>(index % seeds) + 1;
-  ScenarioConfig c = base_;
-  apply_(c, values_[v]);
-  c.with_protocol(protocols[p]);
-  c.with_seed(s);
-  return c;
-}
-
-CellId ExperimentBuilder::cell_id(std::size_t index) const {
-  const std::vector<Protocol> protocols = resolved_protocols();
-  const std::uint32_t seeds = resolved_seeds();
-  const std::size_t per_protocol = values_.size() * seeds;
-  if (index >= protocols.size() * per_protocol) {
-    throw std::out_of_range("ExperimentBuilder: cell index " +
-                            std::to_string(index) + " out of range");
-  }
-  CellId id;
-  id.protocol =
-      ProtocolRegistry::instance().name_of(protocols[index / per_protocol]);
-  id.x = values_[(index % per_protocol) / seeds];
-  id.seed = static_cast<std::uint32_t>(index % seeds) + 1;
-  return id;
-}
-
-stats::RunResult ExperimentBuilder::run_cell(std::size_t index) const {
-  return run_scenario(cell_config(index));
-}
-
-ExperimentResult ExperimentBuilder::assemble(
-    std::vector<std::optional<stats::RunResult>> cells, ShardingInfo sharding) const {
-  const ProtocolRegistry& registry = ProtocolRegistry::instance();
-  const std::vector<Protocol> protocols = resolved_protocols();
-  const std::uint32_t seeds = resolved_seeds();
-  const std::size_t runs_per_point = seeds;
-  cells.resize(protocols.size() * values_.size() * runs_per_point);
-
-  ExperimentResult out;
-  out.name = name_;
-  out.param = param_;
-  out.seeds = seeds;
-  out.sharding = std::move(sharding);
-  for (std::size_t p = 0; p < protocols.size(); ++p) {
-    FigureSeries series{registry.name_of(protocols[p]), {}};
-    for (std::size_t v = 0; v < values_.size(); ++v) {
-      const std::size_t base_slot = (p * values_.size() + v) * runs_per_point;
-      // Failed shards leave holes: their seeds drop out of the point's
-      // aggregate (degraded but honest — the run never aborts).
-      std::vector<stats::RunResult> runs;
-      runs.reserve(runs_per_point);
-      for (std::size_t s = 0; s < runs_per_point; ++s) {
-        if (cells[base_slot + s].has_value()) {
-          runs.push_back(std::move(*cells[base_slot + s]));
-        }
-      }
-      series.points.push_back(aggregate_point(values_[v], std::move(runs)));
-    }
-    out.series.push_back(std::move(series));
-  }
-  return out;
-}
-
 ExperimentResult ExperimentBuilder::run() const {
-  const std::size_t total = cell_count();
-  std::vector<std::optional<stats::RunResult>> results(total);
+  const std::vector<Protocol> protocols =
+      protocols_.empty() ? std::vector<Protocol>{base_.protocol} : protocols_;
+  const std::uint32_t seeds = seeds_ == 0 ? seeds_from_env() : seeds_;
+  // Slot i runs protocol i / (values * seeds), value (i / seeds) % values
+  // and seed i % seeds + 1. Results are aggregated in slot order whatever
+  // order the workers finish in, so parallel runs match serial ones.
+  const std::size_t total = protocols.size() * values_.size() * seeds;
+  std::vector<stats::RunResult> results(total);
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   auto worker = [&] {
-    while (!interrupt_requested()) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= total) return;
-      results[i] = run_cell(i);
+    for (std::size_t i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
+      ScenarioConfig c = base_;
+      apply_(c, values_[(i / seeds) % values_.size()]);
+      c.with_protocol(protocols[i / (values_.size() * seeds)]);
+      c.with_seed(static_cast<std::uint32_t>(i % seeds) + 1);
+      results[i] = run_scenario(c);
       const std::size_t completed = done.fetch_add(1) + 1;
       if (progress_) progress_(completed, total);
     }
@@ -245,7 +167,23 @@ ExperimentResult ExperimentBuilder::run() const {
     for (std::thread& t : pool) t.join();
   }
 
-  return assemble(std::move(results));
+  const ProtocolRegistry& registry = ProtocolRegistry::instance();
+  ExperimentResult out;
+  out.name = name_;
+  out.param = param_;
+  out.seeds = seeds;
+  for (std::size_t p = 0; p < protocols.size(); ++p) {
+    FigureSeries series{registry.name_of(protocols[p]), {}};
+    for (std::size_t v = 0; v < values_.size(); ++v) {
+      const auto first = std::make_move_iterator(
+          results.begin() +
+          static_cast<std::ptrdiff_t>((p * values_.size() + v) * seeds));
+      series.points.push_back(
+          aggregate_point(values_[v], std::vector<stats::RunResult>(first, first + seeds)));
+    }
+    out.series.push_back(std::move(series));
+  }
+  return out;
 }
 
 void ExperimentResult::print(const std::string& title, const std::string& x_label) const {
@@ -311,28 +249,7 @@ bool ExperimentResult::write_json(const std::string& path) const {
     }
     out << "    ]}" << (s + 1 < series.size() ? "," : "") << "\n";
   }
-  // Degraded sharded runs only: a sharded run whose every cell completed
-  // (even after retries) emits no section here, so its JSON stays
-  // byte-identical to the in-process serial run.
-  if (!sharding.failed.empty()) {
-    out << "  ],\n";
-    out << "  \"sharding\": {\"shards\": " << sharding.shards
-        << ", \"retried\": " << sharding.retried
-        << ", \"failed\": " << sharding.failed.size()
-        << ", \"failed_shards\": [\n";
-    for (std::size_t f = 0; f < sharding.failed.size(); ++f) {
-      const FailedShard& fs = sharding.failed[f];
-      out << "    {\"shard\": " << fs.shard << ", \"protocol\": \""
-          << json_escaped(fs.cell.protocol) << "\", \"x\": " << fs.cell.x
-          << ", \"seed\": " << fs.cell.seed << ", \"attempts\": " << fs.attempts
-          << ", \"reason\": \"" << json_escaped(fs.reason) << "\"}"
-          << (f + 1 < sharding.failed.size() ? "," : "") << "\n";
-    }
-    out << "  ]}\n";
-  } else {
-    out << "  ]\n";
-  }
-  out << "}\n";
+  out << "  ]\n}\n";
   return file.commit();
 }
 

@@ -11,19 +11,11 @@
 //                .run();
 //   r.print("Figure 2", "range(m)");
 //   r.write_json("BENCH_fig2.json");
-//
-// The sweep also decomposes into shards — one per (protocol, x, seed)
-// cell, indexed in slot order — for the crash-resumable multi-process
-// driver (shard_driver.h): `cell_count()/cell_id()/run_cell()` expose the
-// grid, and `assemble()` folds per-cell results (with holes for failed
-// shards) into the same ExperimentResult `run()` produces, bit-identical
-// when every cell is present.
 #ifndef AG_HARNESS_EXPERIMENT_BUILDER_H
 #define AG_HARNESS_EXPERIMENT_BUILDER_H
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,41 +25,11 @@
 
 namespace ag::harness {
 
-// Identity of one shardable sweep cell: cell index i maps to protocol
-// p = i / (values * seeds), value v = (i / seeds) % values, seed
-// s = i % seeds + 1 — the exact slot order run() aggregates in.
-struct CellId {
-  std::string protocol;  // registry name
-  double x{0.0};         // swept parameter value
-  std::uint32_t seed{0};
-};
-
-// One shard that exhausted its retry budget: recorded in the merged
-// BENCH JSON's `failed_shards` section instead of aborting the sweep.
-struct FailedShard {
-  std::size_t shard{0};
-  CellId cell;
-  std::uint32_t attempts{0};
-  std::string reason;  // "exit 134", "timeout after 5 s", "corrupt output"
-};
-
-// Sharded-run accounting carried into ExperimentResult. The JSON section
-// it feeds is emitted ONLY when shards actually failed: a sharded run
-// whose every cell eventually completed (retries included) stays
-// byte-identical to the in-process serial run — the repo's equivalence
-// discipline. Retry counts for healthy runs live in the manifest journal.
-struct ShardingInfo {
-  std::uint64_t shards{0};   // cells in the decomposition
-  std::uint64_t retried{0};  // attempts beyond the first, across shards
-  std::vector<FailedShard> failed;
-};
-
 struct ExperimentResult {
   std::string name;       // experiment id ("fig2", "ablation_gossip_rate")
   std::string param;      // swept parameter name
   std::uint32_t seeds{0};
   std::vector<FigureSeries> series;  // one per protocol, registry names
-  ShardingInfo sharding;  // empty `failed` on in-process and healthy runs
 
   // Table and CSV output reuse the figure helpers (CSV lands atomically:
   // temp file + rename).
@@ -76,9 +38,7 @@ struct ExperimentResult {
   // Machine-readable series: {"experiment", "param", "seeds", "series":
   // [{"name", "points": [{"x", received stats, delivery, goodput, tx}]}]}.
   // Written atomically (temp file + rename) so an interrupted bench can
-  // never leave a truncated BENCH_*.json behind. A trailing "sharding"
-  // object (shards/retried/failed counts + per-shard entries) appears
-  // only when sharding.failed is non-empty.
+  // never leave a truncated BENCH_*.json behind.
   [[nodiscard]] bool write_json(const std::string& path) const;
 };
 
@@ -108,34 +68,11 @@ class ExperimentBuilder {
   // runs, worker threads in parallel ones) after each completed seed run.
   ExperimentBuilder& on_progress(std::function<void(std::size_t done, std::size_t total)> fn);
 
-  [[nodiscard]] const std::string& experiment_name() const { return name_; }
-
-  // --- shard decomposition (one cell per protocol × value × seed) ---
-  // Cells are indexed in the slot order run() aggregates in, so a merged
-  // sharded run reproduces the serial result bit for bit.
-  [[nodiscard]] std::size_t cell_count() const;
-  [[nodiscard]] CellId cell_id(std::size_t index) const;
-  // Runs exactly one cell in-process (the worker half of the sharded
-  // driver). Throws std::out_of_range on a bad index.
-  [[nodiscard]] stats::RunResult run_cell(std::size_t index) const;
-  // Folds per-cell results (indexed by cell, holes = failed shards whose
-  // seeds are dropped from their point's aggregate) into the result
-  // run() would produce. With every cell present and `sharding.failed`
-  // empty, the output is bit-identical to run().
-  [[nodiscard]] ExperimentResult assemble(
-      std::vector<std::optional<stats::RunResult>> cells,
-      ShardingInfo sharding = {}) const;
-
-  // In-process run. Polls harness::interrupt_requested() between jobs:
-  // on SIGINT/SIGTERM the workers stop claiming cells and run() returns
-  // early — callers must check the flag before writing outputs.
+  // In-process run: every (protocol, x, seed) cell on the thread pool,
+  // aggregated in slot order.
   [[nodiscard]] ExperimentResult run() const;
 
  private:
-  [[nodiscard]] std::vector<Protocol> resolved_protocols() const;
-  [[nodiscard]] std::uint32_t resolved_seeds() const;
-  [[nodiscard]] ScenarioConfig cell_config(std::size_t index) const;
-
   std::string param_;
   std::vector<double> values_;
   ApplyFn apply_;

@@ -30,8 +30,8 @@ void print_figure(const std::string& title, const std::string& x_label,
 }
 
 bool write_figure_csv(const std::string& path, const std::vector<FigureSeries>& series) {
-  // Temp-file + rename (AtomicFile): an interrupted bench never leaves a
-  // truncated CSV behind.
+  // Temp-file + rename (AtomicFile): a bench killed mid-write never leaves
+  // a truncated CSV behind.
   AtomicFile file{path};
   if (!file.ok()) return false;
   std::ostream& out = file.stream();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "harness/protocol_registry.h"
-#include "sim/env.h"
 
 namespace ag::harness {
 
@@ -26,13 +25,11 @@ Network::Network(const ScenarioConfig& config)
                             config_.duration.to_seconds(), sim_.rng().stream("faults"));
   }
   // Adversary axis: resolved the same way (scripted roles plus synthesis
-  // on its own dedicated stream), gated by the AG_ADVERSARY hatch. Off —
-  // by hatch or by an unarmed config — the stack built below is exactly
-  // the pre-adversary one: no decorator, no sniffer, no extra stream use.
-  const bool adversary_on =
-      (config_.faults.spec.adversaries_any() || !plan.adversaries.empty() ||
-       config_.trust.enabled) &&
-      !sim::env_flag_off("AG_ADVERSARY");
+  // on its own dedicated stream). With no roles and trust off, the stack
+  // built below is exactly the pre-adversary one: no decorator, no
+  // sniffer, no extra stream use.
+  const bool adversary_on = config_.faults.spec.adversaries_any() ||
+                            !plan.adversaries.empty() || config_.trust.enabled;
   if (adversary_on && config_.faults.spec.adversaries_any()) {
     faults::synthesize_adversaries_into(plan, config_.faults.spec,
                                         config_.node_count, source_index(),
@@ -54,9 +51,9 @@ Network::Network(const ScenarioConfig& config)
   const std::size_t members = config_.member_count();
 
   // DTN custody tier: decorator + contact monitor, built only when the
-  // scenario asks for it AND the AG_CUSTODY=off hatch is not set. Off, the
-  // stack below is exactly the pre-custody one.
-  const bool custody_on = config_.custody.enabled && !sim::env_flag_off("AG_CUSTODY");
+  // scenario asks for it. Off, the stack below is exactly the pre-custody
+  // one.
+  const bool custody_on = config_.custody.enabled;
   if (custody_on) {
     custody_.assign(config_.node_count, nullptr);
     gateway_.assign(config_.node_count, 0);

@@ -1,9 +1,8 @@
-// Shared parser for the AG_* environment knobs (AG_SEEDS, the escape
-// hatches AG_SPATIAL_INDEX, AG_DENSE_TABLES, AG_BATCHED_BACKOFF, and the
-// sharded-driver knobs AG_SHARDS/AG_SHARD_TIMEOUT/AG_SHARD_RETRIES/
-// AG_SHARD_BACKOFF_MS/AG_SHARD_FAULT): the single place in the tree that
-// reads AG_* variables, so knob spellings can never drift apart between
-// call sites. Enforced by scripts/ag_lint.py rule `env` — getenv
+// Shared parser for the AG_* environment knobs (AG_SEEDS, and the
+// reference-engine hatches AG_SPATIAL_INDEX, AG_DENSE_TABLES,
+// AG_BATCHED_BACKOFF and AG_BATCHED_PHY): the single place in the tree
+// that reads AG_* variables, so knob spellings can never drift apart
+// between call sites. Enforced by scripts/ag_lint.py rule `env` — getenv
 // anywhere else must carry an allow annotation.
 #ifndef AG_SIM_ENV_H
 #define AG_SIM_ENV_H
@@ -48,14 +47,6 @@ namespace ag::sim {
     return fallback;
   }
   return static_cast<std::uint32_t>(v);
-}
-
-// Raw string knob (e.g. AG_SHARD_FAULT's `<mode>@<shard>[x<times>]`
-// grammar, parsed by harness::shard_fault_from_env): nullptr when unset.
-// Exists so structured parsers elsewhere still route their one getenv
-// through this file.
-[[nodiscard]] inline const char* env_cstr(const char* name) {
-  return std::getenv(name);
 }
 
 }  // namespace ag::sim

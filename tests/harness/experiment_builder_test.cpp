@@ -1,17 +1,52 @@
-// The fluent experiment API: sweep wiring, JSON emission, and the
-// parallelism contract — multi-seed points executed across N worker
-// threads must be bit-identical to the serial run for fixed seeds.
+// The fluent experiment API: sweep wiring, JSON emission (and the
+// AtomicFile commit-or-nothing writes behind it), and the parallelism
+// contract — multi-seed points executed across N worker threads must be
+// bit-identical to the serial run for fixed seeds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include <unistd.h>
+
+#include "harness/atomic_io.h"
 #include "harness/experiment_builder.h"
+
+namespace fs = std::filesystem;
 
 namespace ag::harness {
 namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// A fresh per-test scratch directory under the system temp dir.
+class AtomicFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("ag_atomic_file_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+
+  void TearDown() override { fs::remove_all(dir_); }
+
+  [[nodiscard]] std::string path_in(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  fs::path dir_;
+};
 
 ScenarioConfig tiny_base() {
   ScenarioConfig c;
@@ -137,6 +172,29 @@ TEST(ExperimentBuilder, WritesJson) {
   EXPECT_NE(json.find("\"x\": 70"), std::string::npos);
   EXPECT_NE(json.find("\"delivery_ratio\":"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST_F(AtomicFileTest, AtomicFileCommitsOrLeavesNothing) {
+  const std::string path = path_in("out.txt");
+  ASSERT_TRUE(harness::write_file_atomic(path, [](std::ostream& out) {
+    out << "payload";
+  }));
+  EXPECT_EQ(read_file(path), "payload");
+
+  const std::string dropped = path_in("dropped.txt");
+  {
+    harness::AtomicFile file{dropped};
+    file.stream() << "never visible";
+    // no commit: destructor must remove the temp file
+  }
+  EXPECT_FALSE(fs::exists(dropped));
+  std::size_t residue = 0;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().filename().string().find(".tmp.") != std::string::npos) {
+      ++residue;
+    }
+  }
+  EXPECT_EQ(residue, 0u);
 }
 
 TEST(SeedsFromEnv, RejectsZeroAndGarbage) {
