@@ -13,89 +13,12 @@
 // Usage: figure_adversary [--smoke] [--protocols=name,name]
 //   --smoke shrinks the grid for CI: 2 modes x {0, 0.2, 0.35} x both
 //   isolation settings over {flooding_gossip, maodv_gossip}, 120 s runs.
-#include <chrono>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "figure_common.h"
-#include "harness/atomic_io.h"
-
-namespace {
-
-struct CellReport {
-  std::string label;
-  std::string mode;
-  bool isolation;
-  double fraction;
-  std::size_t nodes;
-  double wall_s;
-  std::uint64_t sim_events;
-  ag::harness::ExperimentResult result;  // one point per series
-};
-
-std::uint64_t total_sim_events(const ag::harness::ExperimentResult& result) {
-  // Effective (engine-independent) count: events executed plus the work
-  // the batched MAC/phy engines represented without an event, so the
-  // emitted JSON is byte-identical across every AG_BATCHED_* mode.
-  std::uint64_t events = 0;
-  for (const ag::harness::FigureSeries& s : result.series) {
-    for (const ag::harness::SeriesPoint& p : s.points) {
-      for (const ag::stats::RunResult& r : p.runs) {
-        events += r.totals.sim_events + r.totals.mac_events_elided() +
-                  r.totals.phy_events_elided();
-      }
-    }
-  }
-  return events;
-}
-
-bool write_adversary_json(const std::string& path,
-                          const std::vector<CellReport>& cells,
-                          std::uint32_t seeds) {
-  ag::harness::AtomicFile file{path};
-  if (!file.ok()) return false;
-  std::ostream& out = file.stream();
-  out << "{\n";
-  out << "  \"experiment\": \"adversary\",\n";
-  out << "  \"param\": \"adversary_fraction\",\n";
-  out << "  \"seeds\": " << seeds << ",\n";
-  out << "  \"points\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellReport& cell = cells[i];
-    const double events_per_sec =
-        cell.wall_s > 0.0 ? static_cast<double>(cell.sim_events) / cell.wall_s : 0.0;
-    out << "    {\"label\": \"" << cell.label << "\", \"nodes\": " << cell.nodes
-        << ", \"mode\": \"" << cell.mode << "\""
-        << ", \"isolation\": " << (cell.isolation ? "true" : "false")
-        << ", \"adversary_fraction\": " << cell.fraction
-        << ", \"wall_clock_s\": " << cell.wall_s
-        << ", \"sim_events\": " << cell.sim_events
-        << ", \"events_per_sec\": " << events_per_sec << ", \"series\": [\n";
-    for (std::size_t s = 0; s < cell.result.series.size(); ++s) {
-      const ag::harness::FigureSeries& series = cell.result.series[s];
-      const ag::harness::SeriesPoint& p = series.points.front();
-      out << "      {\"name\": \"" << series.name << "\""
-          << ", \"received_mean\": " << p.received.mean
-          << ", \"delivery_ratio\": " << p.mean_delivery_ratio
-          << ", \"transmissions\": " << p.mean_transmissions
-          << ", \"adversary_nodes\": " << p.mean_adversary_nodes
-          << ", \"adversary_absorbed\": " << p.mean_adversary_absorbed
-          << ", \"adversary_poisoned\": " << p.mean_adversary_poisoned
-          << ", \"trust_isolations\": " << p.mean_trust_isolations
-          << ", \"trust_false_positives\": " << p.mean_trust_false_positives
-          << ", \"trust_filtered\": " << p.mean_trust_filtered
-          << ", \"detection_latency_s\": " << p.mean_detection_latency_s << "}"
-          << (s + 1 < cell.result.series.size() ? "," : "") << "\n";
-    }
-    out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
-  return file.commit();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ag;
@@ -162,7 +85,7 @@ int main(int argc, char** argv) {
 
   std::printf("== Adversary axis x trust isolation ==\n");
 
-  std::vector<CellReport> cells;
+  std::vector<bench::GridCell> cells;
   for (const Mode& mode : modes) {
     for (const bool isolation : {false, true}) {
       for (const double fraction : fractions) {
@@ -191,21 +114,14 @@ int main(int argc, char** argv) {
                       mode.name, isolation ? "on" : "off", fraction);
         std::printf("-- %s --\n", label);
         std::fflush(stdout);
-        // ag-lint: allow(determinism, wall-clock measures the harness itself)
-        const auto t0 = std::chrono::steady_clock::now();
-        harness::ExperimentResult result =
+        bench::TimedResult run = bench::timed_run(
             harness::Experiment::sweep("adversary_fraction", {fraction})
                 .base(cell_base)
                 .protocols(protocols)
                 .seeds(seeds)
                 .parallel()
-                .name("adversary")
-                .run();
-        const double wall_s =
-            // ag-lint: allow(determinism, wall-clock measures the harness itself)
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        for (const harness::FigureSeries& s : result.series) {
+                .name("adversary"));
+        for (const harness::FigureSeries& s : run.result.series) {
           const harness::SeriesPoint& p = s.points.front();
           std::printf("  %-16s delivery=%.3f adversaries=%llu absorbed=%llu "
                       "poisoned=%llu isolated=%.1f fp=%.1f latency=%.1fs\n",
@@ -217,14 +133,17 @@ int main(int argc, char** argv) {
                       p.mean_detection_latency_s);
         }
         std::fflush(stdout);
-        const std::uint64_t events = total_sim_events(result);
-        cells.push_back({label, mode.name, isolation, fraction,
-                         cell_base.node_count, wall_s, events, std::move(result)});
+        std::ostringstream fields;
+        fields << ", \"mode\": \"" << mode.name << "\""
+               << ", \"isolation\": " << (isolation ? "true" : "false")
+               << ", \"adversary_fraction\": " << fraction;
+        cells.push_back({label, fields.str(), cell_base.node_count, std::move(run)});
       }
     }
   }
 
-  if (!write_adversary_json("BENCH_adversary.json", cells, seeds)) {
+  if (!bench::write_grid_json("BENCH_adversary.json", "adversary", "adversary_fraction",
+                              seeds, "", cells, harness::Sink::adversary)) {
     std::fprintf(stderr, "error: failed to write BENCH_adversary.json\n");
     return 1;
   }

@@ -6,16 +6,19 @@
 #ifndef AG_BENCH_FIGURE_COMMON_H
 #define AG_BENCH_FIGURE_COMMON_H
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness/atomic_io.h"
 #include "harness/experiment_builder.h"
 #include "harness/figure.h"
 #include "harness/protocol_registry.h"
@@ -100,6 +103,92 @@ inline int finish_figure(const harness::ExperimentBuilder& builder,
               "change)\n\n",
               csv_name.c_str(), json_name.c_str(), seeds);
   return 0;
+}
+
+// A sweep run in-process, with the wall-clock seconds it took (all of
+// its parallel jobs together).
+struct TimedResult {
+  harness::ExperimentResult result;
+  double wall_s;
+};
+
+inline TimedResult timed_run(const harness::ExperimentBuilder& builder) {
+  // ag-lint: allow(determinism, wall-clock measures the harness itself)
+  const auto t0 = std::chrono::steady_clock::now();
+  harness::ExperimentResult result = builder.run();
+  // ag-lint: allow(determinism, wall-clock measures the harness itself)
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
+  return {std::move(result), wall.count()};
+}
+
+// Simulated work behind a result, independent of the engine: events
+// executed plus the work the batched MAC/phy engines represented without
+// an event, summed over every run. The emitted `sim_events` field is
+// therefore identical across the AG_BATCHED_* modes; `wall_clock_s` and
+// `events_per_sec` next to it are not.
+inline std::uint64_t effective_sim_events(const harness::ExperimentResult& result) {
+  std::uint64_t events = 0;
+  for (const harness::FigureSeries& s : result.series) {
+    for (const harness::SeriesPoint& p : s.points) {
+      for (const stats::RunResult& r : p.runs) {
+        events += r.totals.sim_events + r.totals.mac_events_elided() +
+                  r.totals.phy_events_elided();
+      }
+    }
+  }
+  return events;
+}
+
+// Writes the per-series lines of one grid cell (a single-value sweep, so
+// one point per series): `{"name": ..., <write_point_fields(sink)>}`,
+// comma-separated, one per line.
+inline void write_cell_series(std::ostream& out, const harness::ExperimentResult& result,
+                              harness::Sink sink) {
+  for (std::size_t s = 0; s < result.series.size(); ++s) {
+    const harness::FigureSeries& series = result.series[s];
+    out << "      {\"name\": \"" << series.name << "\"";
+    harness::write_point_fields(out, series.points.front(), sink);
+    out << "}" << (s + 1 < result.series.size() ? "," : "") << "\n";
+  }
+}
+
+// One cell of a grid bench (figure_dtn, figure_adversary): a timed
+// single-value sweep over every protocol, plus the cell's own JSON
+// fields pre-rendered as `, "key": value` pairs.
+struct GridCell {
+  std::string label;
+  std::string fields;
+  std::size_t nodes;
+  TimedResult run;
+};
+
+// Writes a grid bench's JSON: {"experiment", "param", "seeds",
+// <header_fields>, "points": [...]}, where each point carries its label,
+// node count and own fields, wall clock, effective_sim_events and
+// events/sec, then one line per series with the `sink` fields.
+inline bool write_grid_json(const std::string& path, const char* experiment,
+                            const char* param, std::uint32_t seeds,
+                            const std::string& header_fields,
+                            const std::vector<GridCell>& cells, harness::Sink sink) {
+  harness::AtomicFile file{path};
+  if (!file.ok()) return false;
+  std::ostream& out = file.stream();
+  out << "{\n  \"experiment\": \"" << experiment << "\",\n  \"param\": \"" << param
+      << "\",\n  \"seeds\": " << seeds << ",\n" << header_fields << "  \"points\": [\n";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const GridCell& cell = cells[i];
+    const std::uint64_t events = effective_sim_events(cell.run.result);
+    const double wall_s = cell.run.wall_s;
+    out << "    {\"label\": \"" << cell.label << "\", \"nodes\": " << cell.nodes
+        << cell.fields << ", \"wall_clock_s\": " << wall_s << ", \"sim_events\": " << events
+        << ", \"events_per_sec\": "
+        << (wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0)
+        << ", \"series\": [\n";
+    write_cell_series(out, cell.run.result, sink);
+    out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
+  return file.commit();
 }
 
 // Paper section 5.1 defaults: 200x200 m, 40 nodes, 1/3 members, 600 s,

@@ -16,92 +16,13 @@
 // Usage: figure_dtn [--smoke] [--mega] [--protocols=name,name]
 //   --smoke shrinks the grid for CI (short duration, 2x1x2 grid).
 //   --mega  10k nodes / 2M users, one cell (implies the smoke duration).
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "figure_common.h"
-#include "harness/atomic_io.h"
-
-namespace {
-
-// One (duty, churn, budget) grid cell: a single-value sweep across all
-// protocols, timed like scale_smoke so BENCH_dtn.json doubles as a perf
-// record for the custody tier.
-struct CellReport {
-  std::string label;
-  double duty;
-  double churn;
-  double budget;
-  std::size_t nodes;
-  double wall_s;
-  std::uint64_t sim_events;
-  ag::harness::ExperimentResult result;  // one point per series
-};
-
-std::uint64_t total_sim_events(const ag::harness::ExperimentResult& result) {
-  // Effective (engine-independent) count: events executed plus the work
-  // the batched MAC/phy engines represented without an event, so the
-  // emitted JSON is byte-identical across every AG_BATCHED_* mode.
-  std::uint64_t events = 0;
-  for (const ag::harness::FigureSeries& s : result.series) {
-    for (const ag::harness::SeriesPoint& p : s.points) {
-      for (const ag::stats::RunResult& r : p.runs) {
-        events += r.totals.sim_events + r.totals.mac_events_elided() +
-                  r.totals.phy_events_elided();
-      }
-    }
-  }
-  return events;
-}
-
-bool write_dtn_json(const std::string& path, const std::vector<CellReport>& cells,
-                    std::uint32_t seeds, std::uint32_t sessions_per_node) {
-  ag::harness::AtomicFile file{path};
-  if (!file.ok()) return false;
-  std::ostream& out = file.stream();
-  out << "{\n";
-  out << "  \"experiment\": \"dtn\",\n";
-  out << "  \"param\": \"custody_max_msgs\",\n";
-  out << "  \"seeds\": " << seeds << ",\n";
-  out << "  \"sessions_per_node\": " << sessions_per_node << ",\n";
-  out << "  \"points\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellReport& cell = cells[i];
-    const double events_per_sec =
-        cell.wall_s > 0.0 ? static_cast<double>(cell.sim_events) / cell.wall_s : 0.0;
-    out << "    {\"label\": \"" << cell.label << "\", \"nodes\": " << cell.nodes
-        << ", \"duty\": " << cell.duty << ", \"churn_per_min\": " << cell.churn
-        << ", \"custody_max_msgs\": " << cell.budget
-        << ", \"wall_clock_s\": " << cell.wall_s
-        << ", \"sim_events\": " << cell.sim_events
-        << ", \"events_per_sec\": " << events_per_sec << ", \"series\": [\n";
-    for (std::size_t s = 0; s < cell.result.series.size(); ++s) {
-      const ag::harness::FigureSeries& series = cell.result.series[s];
-      const ag::harness::SeriesPoint& p = series.points.front();
-      out << "      {\"name\": \"" << series.name << "\""
-          << ", \"received_mean\": " << p.received.mean
-          << ", \"delivery_ratio\": " << p.mean_delivery_ratio
-          << ", \"transmissions\": " << p.mean_transmissions
-          << ", \"sessions\": " << p.mean_sessions
-          << ", \"users_served\": " << p.mean_users_served
-          << ", \"user_eligible\": " << p.mean_user_eligible
-          << ", \"users_served_ratio\": " << p.mean_users_ratio
-          << ", \"custody_stored\": " << p.mean_custody_stored
-          << ", \"custody_offers\": " << p.mean_custody_offers
-          << ", \"custody_accepted\": " << p.mean_custody_accepted << "}"
-          << (s + 1 < cell.result.series.size() ? "," : "") << "\n";
-    }
-    out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
-  return file.commit();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ag;
@@ -162,7 +83,9 @@ int main(int argc, char** argv) {
   std::printf("== Custody tier x user sessions (%u users/node%s) ==\n",
               kSessionsPerNode, mega ? ", --mega: 2M users total" : "");
 
-  std::vector<CellReport> cells;
+  // Each (duty, churn, budget) cell is timed like scale_smoke, so
+  // BENCH_dtn.json doubles as a perf record for the custody tier.
+  std::vector<bench::GridCell> cells;
   for (const double duty : duties) {
     for (const double churn : churns) {
       for (const double budget : budgets) {
@@ -174,21 +97,14 @@ int main(int argc, char** argv) {
                       duty, churn, budget);
         std::printf("-- %s --\n", label);
         std::fflush(stdout);
-        // ag-lint: allow(determinism, wall-clock measures the harness itself)
-        const auto t0 = std::chrono::steady_clock::now();
-        harness::ExperimentResult result =
+        bench::TimedResult run = bench::timed_run(
             harness::Experiment::sweep("custody_max_msgs", {budget})
                 .base(cell_base)
                 .protocols(protocols)
                 .seeds(seeds)
                 .parallel()
-                .name("dtn")
-                .run();
-        const double wall_s =
-            // ag-lint: allow(determinism, wall-clock measures the harness itself)
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        for (const harness::FigureSeries& s : result.series) {
+                .name("dtn"));
+        for (const harness::FigureSeries& s : run.result.series) {
           const harness::SeriesPoint& p = s.points.front();
           std::printf("  %-16s delivery=%.2f users=%llu/%llu (%.2f) "
                       "custody stored=%llu offered=%llu accepted=%llu\n",
@@ -201,14 +117,18 @@ int main(int argc, char** argv) {
                       static_cast<unsigned long long>(p.mean_custody_accepted));
         }
         std::fflush(stdout);
-        const std::uint64_t events = total_sim_events(result);
-        cells.push_back({label, duty, churn, budget, cell_base.node_count, wall_s,
-                         events, std::move(result)});
+        std::ostringstream fields;
+        fields << ", \"duty\": " << duty << ", \"churn_per_min\": " << churn
+               << ", \"custody_max_msgs\": " << budget;
+        cells.push_back({label, fields.str(), cell_base.node_count, std::move(run)});
       }
     }
   }
 
-  if (!write_dtn_json("BENCH_dtn.json", cells, seeds, kSessionsPerNode)) {
+  const std::string header =
+      "  \"sessions_per_node\": " + std::to_string(kSessionsPerNode) + ",\n";
+  if (!bench::write_grid_json("BENCH_dtn.json", "dtn", "custody_max_msgs", seeds, header,
+                              cells, harness::Sink::dtn)) {
     std::fprintf(stderr, "error: failed to write BENCH_dtn.json\n");
     return 1;
   }

@@ -4,9 +4,9 @@ markdown table.
 
 Used by the Release CI job to append a wall-clock + events/sec summary to
 $GITHUB_STEP_SUMMARY, so perf regressions are visible on the PR page
-without downloading the artifact. BENCH_dtn.json shares the same points/
-series shape (each point labels a grid cell instead of a node count), so
-one renderer covers both; the "users served" column shows the session
+without downloading the artifact. BENCH_dtn.json and BENCH_adversary.json
+share the same points/series shape (each point labels a grid cell instead
+of a node count), so one renderer covers all three; the "users served" column shows the session
 layer's served/eligible ratio when a series carries session metrics and
 an em-dash placeholder when it does not (every pre-custody BENCH file);
 the "trust iso/fp" column does the same for the adversary axis' isolation
@@ -20,6 +20,7 @@ BENCH files predate the per-category accounting).
 
 Usage: scale_summary.py BENCH_scale.json
        scale_summary.py BENCH_dtn.json
+       scale_summary.py BENCH_adversary.json
 """
 import json
 import sys
@@ -77,7 +78,8 @@ def _point_label(point):
 
 def main() -> int:
     if len(sys.argv) != 2:
-        print("usage: scale_summary.py BENCH_scale.json", file=sys.stderr)
+        print("usage: scale_summary.py BENCH_scale.json|BENCH_dtn.json|"
+              "BENCH_adversary.json", file=sys.stderr)
         return 2
     try:
         with open(sys.argv[1], encoding="utf-8") as f:

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
 
 #include <unistd.h>
@@ -59,16 +58,6 @@ class AtomicFile {
   std::ofstream out_;
   bool committed_{false};
 };
-
-// Convenience wrapper: `fill` writes the whole payload; returns true only
-// when every write and the final rename succeeded.
-[[nodiscard]] inline bool write_file_atomic(
-    const std::string& path, const std::function<void(std::ostream&)>& fill) {
-  AtomicFile file{path};
-  if (!file.ok()) return false;
-  fill(file.stream());
-  return file.commit();
-}
 
 }  // namespace ag::harness
 

@@ -1,5 +1,6 @@
 #include "harness/experiment.h"
 
+#include <ostream>
 #include <utility>
 
 #include "sim/env.h"
@@ -10,88 +11,50 @@ SeriesPoint aggregate_point(double x, std::vector<stats::RunResult> runs) {
   SeriesPoint point;
   point.x = x;
   std::vector<double> all_received;
-  double goodput_sum = 0.0;
-  double ratio_sum = 0.0;
-  std::uint64_t tx_sum = 0;
-  std::uint64_t deliveries_sum = 0;
-  std::uint64_t down_sum = 0;
-  std::uint64_t partition_sum = 0;
-  std::uint64_t probes_sum = 0;
-  std::uint64_t pool_hits_sum = 0;
-  std::uint64_t pool_misses_sum = 0;
-  std::uint64_t sessions_sum = 0;
-  std::uint64_t served_sum = 0;
-  std::uint64_t eligible_sum = 0;
-  double users_ratio_sum = 0.0;
-  std::uint64_t custody_stored_sum = 0;
-  std::uint64_t custody_offers_sum = 0;
-  std::uint64_t custody_accepted_sum = 0;
-  std::uint64_t adversary_nodes_sum = 0;
-  std::uint64_t adversary_absorbed_sum = 0;
-  std::uint64_t adversary_poisoned_sum = 0;
-  std::uint64_t isolations_sum = 0;
-  std::uint64_t false_positives_sum = 0;
-  std::uint64_t trust_filtered_sum = 0;
-  double detection_latency_sum = 0.0;
-  for (stats::RunResult& r : runs) {
+  struct {  // one accumulator per AG_POINT_METRICS row
+#define AG_ACCUMULATOR(member, key, agg, init, gate, sinks, expr) metric::agg member;
+    AG_POINT_METRICS(AG_ACCUMULATOR)
+#undef AG_ACCUMULATOR
+  } acc;
+  for (stats::RunResult& run : runs) {
+    const stats::RunResult& r = run;
     for (double v : r.received_per_member()) all_received.push_back(v);
-    goodput_sum += r.mean_goodput_pct();
-    ratio_sum += r.delivery_ratio();
-    tx_sum += r.totals.channel_transmissions;
-    deliveries_sum += r.totals.phy_deliveries;
-    down_sum += r.totals.phy_suppressed_down;
-    partition_sum += r.totals.phy_suppressed_partition;
-    probes_sum += r.totals.table_probes;
-    pool_hits_sum += r.totals.pool_hits;
-    pool_misses_sum += r.totals.pool_misses;
     point.dtn_active = point.dtn_active || r.totals.dtn_active;
-    sessions_sum += r.totals.sessions.sessions;
-    served_sum += r.totals.sessions.users_served;
-    eligible_sum += r.totals.sessions.user_eligible;
-    users_ratio_sum += r.totals.sessions.served_ratio();
-    custody_stored_sum += r.totals.custody_stored;
-    custody_offers_sum += r.totals.custody_offers;
-    custody_accepted_sum += r.totals.custody_accepted;
     point.adversary_active = point.adversary_active || r.totals.adversary_active;
-    adversary_nodes_sum += r.totals.adversary_nodes;
-    adversary_absorbed_sum += r.totals.adversary_absorbed;
-    adversary_poisoned_sum += r.totals.adversary_poisoned;
-    isolations_sum += r.totals.trust_isolations;
-    false_positives_sum += r.totals.trust_false_positives;
-    trust_filtered_sum += r.totals.trust_filtered;
-    detection_latency_sum += r.totals.trust_detection_latency_s;
-    point.runs.push_back(std::move(r));
+#define AG_ACCUMULATE(member, key, agg, init, gate, sinks, expr) acc.member.add(expr);
+    AG_POINT_METRICS(AG_ACCUMULATE)
+#undef AG_ACCUMULATE
+    point.runs.push_back(std::move(run));
   }
   point.received = stats::summarize(all_received);
   const std::size_t seeds = point.runs.size();
   if (seeds > 0) {
-    point.mean_goodput_pct = goodput_sum / static_cast<double>(seeds);
-    point.mean_delivery_ratio = ratio_sum / static_cast<double>(seeds);
-    point.mean_transmissions = tx_sum / seeds;
-    point.mean_deliveries = deliveries_sum / seeds;
-    point.mean_suppressed_down = down_sum / seeds;
-    point.mean_suppressed_partition = partition_sum / seeds;
-    point.mean_table_probes = probes_sum / seeds;
-    point.mean_pool_hits = pool_hits_sum / seeds;
-    point.mean_pool_misses = pool_misses_sum / seeds;
-    point.mean_sessions = sessions_sum / seeds;
-    point.mean_users_served = served_sum / seeds;
-    point.mean_user_eligible = eligible_sum / seeds;
-    point.mean_users_ratio = users_ratio_sum / static_cast<double>(seeds);
-    point.mean_custody_stored = custody_stored_sum / seeds;
-    point.mean_custody_offers = custody_offers_sum / seeds;
-    point.mean_custody_accepted = custody_accepted_sum / seeds;
-    point.mean_adversary_nodes = adversary_nodes_sum / seeds;
-    point.mean_adversary_absorbed = adversary_absorbed_sum / seeds;
-    point.mean_adversary_poisoned = adversary_poisoned_sum / seeds;
-    point.mean_trust_isolations =
-        static_cast<double>(isolations_sum) / static_cast<double>(seeds);
-    point.mean_trust_false_positives =
-        static_cast<double>(false_positives_sum) / static_cast<double>(seeds);
-    point.mean_trust_filtered = trust_filtered_sum / seeds;
-    point.mean_detection_latency_s = detection_latency_sum / static_cast<double>(seeds);
+#define AG_MEAN(member, key, agg, init, gate, sinks, expr) \
+  point.member = acc.member.mean(seeds);
+    AG_POINT_METRICS(AG_MEAN)
+#undef AG_MEAN
   }
   return point;
+}
+
+void write_point_fields(std::ostream& out, const SeriesPoint& p, Sink sink) {
+  out << ", \"received_mean\": " << p.received.mean;
+  if (sink == Sink::figure) {
+    out << ", \"received_min\": " << p.received.min
+        << ", \"received_max\": " << p.received.max
+        << ", \"received_stddev\": " << p.received.stddev
+        << ", \"receivers\": " << p.received.n;
+  }
+  const auto emits = [&](unsigned sinks, Gate gate) {
+    if ((sinks & static_cast<unsigned>(sink)) == 0) return false;
+    if (sink != Sink::figure) return true;
+    return gate == Gate::always || (gate == Gate::dtn && p.dtn_active) ||
+           (gate == Gate::adversary && p.adversary_active);
+  };
+#define AG_WRITE_FIELD(member, key, agg, init, gate, sinks, expr) \
+  if (emits(static_cast<unsigned>(sinks), Gate::gate)) out << ", \"" key "\": " << p.member;
+  AG_POINT_METRICS(AG_WRITE_FIELD)
+#undef AG_WRITE_FIELD
 }
 
 SeriesPoint run_point(ScenarioConfig config, std::uint32_t seeds, double x) {

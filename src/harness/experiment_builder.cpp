@@ -208,43 +208,8 @@ bool ExperimentResult::write_json(const std::string& path) const {
     out << "    {\"name\": \"" << json_escaped(series[s].name) << "\", \"points\": [\n";
     for (std::size_t i = 0; i < series[s].points.size(); ++i) {
       const SeriesPoint& p = series[s].points[i];
-      out << "      {\"x\": " << p.x << ", \"received_mean\": " << p.received.mean
-          << ", \"received_min\": " << p.received.min
-          << ", \"received_max\": " << p.received.max
-          << ", \"received_stddev\": " << p.received.stddev
-          << ", \"receivers\": " << p.received.n
-          << ", \"delivery_ratio\": " << p.mean_delivery_ratio
-          << ", \"goodput_pct\": " << p.mean_goodput_pct
-          << ", \"transmissions\": " << p.mean_transmissions
-          << ", \"deliveries\": " << p.mean_deliveries
-          << ", \"suppressed_down\": " << p.mean_suppressed_down
-          << ", \"suppressed_partition\": " << p.mean_suppressed_partition
-          << ", \"table_probes\": " << p.mean_table_probes
-          << ", \"pool_hits\": " << p.mean_pool_hits
-          << ", \"pool_misses\": " << p.mean_pool_misses;
-      // Custody/session fields only appear when a run in this point had
-      // the DTN tier or sessions active, so pre-custody figures (fig2,
-      // churn, ...) stay byte-identical to their pre-DTN output.
-      if (p.dtn_active) {
-        out << ", \"sessions\": " << p.mean_sessions
-            << ", \"users_served\": " << p.mean_users_served
-            << ", \"user_eligible\": " << p.mean_user_eligible
-            << ", \"users_served_ratio\": " << p.mean_users_ratio
-            << ", \"custody_stored\": " << p.mean_custody_stored
-            << ", \"custody_offers\": " << p.mean_custody_offers
-            << ", \"custody_accepted\": " << p.mean_custody_accepted;
-      }
-      // Adversary/trust fields only appear when a run in this point
-      // carried the adversary axis — same gating contract as dtn_active.
-      if (p.adversary_active) {
-        out << ", \"adversary_nodes\": " << p.mean_adversary_nodes
-            << ", \"adversary_absorbed\": " << p.mean_adversary_absorbed
-            << ", \"adversary_poisoned\": " << p.mean_adversary_poisoned
-            << ", \"trust_isolations\": " << p.mean_trust_isolations
-            << ", \"trust_false_positives\": " << p.mean_trust_false_positives
-            << ", \"trust_filtered\": " << p.mean_trust_filtered
-            << ", \"detection_latency_s\": " << p.mean_detection_latency_s;
-      }
+      out << "      {\"x\": " << p.x;
+      write_point_fields(out, p, Sink::figure);
       out << "}" << (i + 1 < series[s].points.size() ? "," : "") << "\n";
     }
     out << "    ]}" << (s + 1 < series.size() ? "," : "") << "\n";

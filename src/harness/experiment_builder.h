@@ -36,7 +36,7 @@ struct ExperimentResult {
   void print(const std::string& title, const std::string& x_label) const;
   [[nodiscard]] bool write_csv(const std::string& path) const;
   // Machine-readable series: {"experiment", "param", "seeds", "series":
-  // [{"name", "points": [{"x", received stats, delivery, goodput, tx}]}]}.
+  // [{"name", "points": [{"x", write_point_fields(Sink::figure)}]}]}.
   // Written atomically (temp file + rename) so an interrupted bench can
   // never leave a truncated BENCH_*.json behind.
   [[nodiscard]] bool write_json(const std::string& path) const;

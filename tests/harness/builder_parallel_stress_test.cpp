@@ -42,15 +42,16 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
       const SeriesPoint& pb = b.series[s].points[i];
       EXPECT_DOUBLE_EQ(pa.received.mean, pb.received.mean);
       EXPECT_DOUBLE_EQ(pa.received.stddev, pb.received.stddev);
-      EXPECT_DOUBLE_EQ(pa.mean_delivery_ratio, pb.mean_delivery_ratio);
-      EXPECT_EQ(pa.mean_transmissions, pb.mean_transmissions);
-      EXPECT_EQ(pa.mean_deliveries, pb.mean_deliveries);
-      // Pool and table counters are logical-op counts, so they must be
-      // scheduling-independent too — a thread-local slab leaking state
-      // between workers shows up here before it corrupts payloads.
-      EXPECT_EQ(pa.mean_table_probes, pb.mean_table_probes);
-      EXPECT_EQ(pa.mean_pool_hits, pb.mean_pool_hits);
-      EXPECT_EQ(pa.mean_pool_misses, pb.mean_pool_misses);
+      EXPECT_EQ(pa.dtn_active, pb.dtn_active);
+      EXPECT_EQ(pa.adversary_active, pb.adversary_active);
+      // Every per-point metric, exactly. Pool and table counters are
+      // logical-op counts, so they must be scheduling-independent too — a
+      // thread-local slab leaking state between workers shows up here
+      // before it corrupts payloads.
+#define AG_EXPECT_SAME(member, key, agg, init, gate, sinks, expr) \
+  EXPECT_EQ(pa.member, pb.member) << key;
+      AG_POINT_METRICS(AG_EXPECT_SAME)
+#undef AG_EXPECT_SAME
       ASSERT_EQ(pa.runs.size(), pb.runs.size());
       for (std::size_t r = 0; r < pa.runs.size(); ++r) {
         EXPECT_EQ(pa.runs[r].seed, pb.runs[r].seed);

@@ -6,10 +6,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <iomanip>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -174,11 +177,147 @@ TEST(ExperimentBuilder, WritesJson) {
   std::remove(path.c_str());
 }
 
+// A hand-made run: `k` scales every counter a metric row reads, so two
+// runs with k = 3 and k = 4 give odd sums (floor-divided by the u64 rows)
+// and distinct doubles.
+stats::RunResult synthetic_run(std::uint64_t k) {
+  stats::RunResult r;
+  r.packets_sent = 10;
+  stats::MemberResult m;
+  m.received = k;
+  m.replies_received = 4;
+  m.replies_useful = k - 1;
+  r.members.push_back(m);
+  stats::NetworkTotals& t = r.totals;
+  t.channel_transmissions = k;
+  t.phy_deliveries = 10 * k + 1;
+  t.phy_suppressed_down = k + 2;
+  t.phy_suppressed_partition = k + 4;
+  t.table_probes = 100 * k;
+  t.pool_hits = 3 * k;
+  t.pool_misses = k;
+  t.sessions.sessions = k;
+  t.sessions.users_served = k;
+  t.sessions.user_eligible = 2 * k;
+  t.custody_stored = k;
+  t.custody_offers = 5 * k;
+  t.custody_accepted = k;
+  t.adversary_nodes = k;
+  t.adversary_absorbed = 7 * k;
+  t.adversary_poisoned = k;
+  t.trust_isolations = k;
+  t.trust_false_positives = k - 3;
+  t.trust_filtered = 9 * k;
+  t.trust_detection_latency_s = 10.0 * static_cast<double>(k);
+  return r;
+}
+
+SeriesPoint synthetic_point(bool dtn, bool adversary) {
+  std::vector<stats::RunResult> runs{synthetic_run(3), synthetic_run(4)};
+  runs[0].totals.dtn_active = dtn;
+  runs[1].totals.adversary_active = adversary;
+  return aggregate_point(1.0, std::move(runs));
+}
+
+// The keys write_point_fields emits, in order.
+std::vector<std::string> keys_written(const SeriesPoint& p, Sink sink) {
+  std::ostringstream out;
+  write_point_fields(out, p, sink);
+  const std::string fields = out.str();
+  const std::regex key{"\"([a-z_]+)\": "};
+  std::vector<std::string> keys;
+  for (auto it = std::sregex_iterator(fields.begin(), fields.end(), key);
+       it != std::sregex_iterator(); ++it) {
+    keys.push_back((*it)[1]);
+  }
+  return keys;
+}
+
+std::vector<std::string> concat(std::vector<std::string> a, const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+const std::vector<std::string> kPhyAndDataPlane{
+    "deliveries", "suppressed_down", "suppressed_partition",
+    "table_probes", "pool_hits", "pool_misses"};
+const std::vector<std::string> kDtnKeys{
+    "sessions", "users_served", "user_eligible", "users_served_ratio",
+    "custody_stored", "custody_offers", "custody_accepted"};
+const std::vector<std::string> kAdversaryKeys{
+    "adversary_nodes", "adversary_absorbed", "adversary_poisoned",
+    "trust_isolations", "trust_false_positives", "trust_filtered",
+    "detection_latency_s"};
+
+TEST(PointMetrics, AggregateFloorsCountsAndAveragesDoubles) {
+  const SeriesPoint p = synthetic_point(false, false);
+  EXPECT_EQ(p.mean_transmissions, 3u);         // (3 + 4) / 2, floored
+  EXPECT_EQ(p.mean_deliveries, 36u);           // (31 + 41) / 2
+  EXPECT_EQ(p.mean_suppressed_down, 5u);       // (5 + 6) / 2, floored
+  EXPECT_EQ(p.mean_custody_offers, 17u);       // (15 + 20) / 2, floored
+  EXPECT_EQ(p.mean_trust_filtered, 31u);       // (27 + 36) / 2, floored
+  EXPECT_DOUBLE_EQ(p.mean_delivery_ratio, 0.35);  // (0.3 + 0.4) / 2
+  EXPECT_DOUBLE_EQ(p.mean_goodput_pct, 62.5);     // (50 + 75) / 2
+  EXPECT_DOUBLE_EQ(p.mean_users_ratio, 0.5);
+  EXPECT_DOUBLE_EQ(p.mean_trust_isolations, 3.5);
+  EXPECT_DOUBLE_EQ(p.mean_trust_false_positives, 0.5);
+  EXPECT_DOUBLE_EQ(p.received.mean, 3.5);
+  EXPECT_FALSE(p.dtn_active);
+  EXPECT_FALSE(p.adversary_active);
+  // The gates are ORs over the runs.
+  const SeriesPoint gated = synthetic_point(true, true);
+  EXPECT_TRUE(gated.dtn_active);
+  EXPECT_TRUE(gated.adversary_active);
+  // A point without runs keeps the declared defaults.
+  const SeriesPoint empty = aggregate_point(0.0, {});
+  EXPECT_DOUBLE_EQ(empty.mean_goodput_pct, 100.0);
+  EXPECT_EQ(empty.mean_transmissions, 0u);
+}
+
+TEST(PointMetrics, EachSinkEmitsItsDeclaredKeysInOrder) {
+  const std::vector<std::string> figure_core =
+      concat({"received_mean", "received_min", "received_max", "received_stddev",
+              "receivers", "delivery_ratio", "goodput_pct", "transmissions"},
+             kPhyAndDataPlane);
+  const std::vector<std::string> bench_core{"received_mean", "delivery_ratio",
+                                            "transmissions"};
+  const SeriesPoint off = synthetic_point(false, false);
+  // The figure sink drops gated rows whose flag is off...
+  EXPECT_EQ(keys_written(off, Sink::figure), figure_core);
+  // ...and emits each group once its flag is set.
+  EXPECT_EQ(keys_written(synthetic_point(true, false), Sink::figure),
+            concat(figure_core, kDtnKeys));
+  EXPECT_EQ(keys_written(synthetic_point(false, true), Sink::figure),
+            concat(figure_core, kAdversaryKeys));
+  EXPECT_EQ(keys_written(synthetic_point(true, true), Sink::figure),
+            concat(concat(figure_core, kDtnKeys), kAdversaryKeys));
+  // The bench sinks carry their rows unconditionally.
+  EXPECT_EQ(keys_written(off, Sink::scale), concat(bench_core, kPhyAndDataPlane));
+  EXPECT_EQ(keys_written(off, Sink::dtn), concat(bench_core, kDtnKeys));
+  EXPECT_EQ(keys_written(off, Sink::adversary), concat(bench_core, kAdversaryKeys));
+}
+
+TEST(PointMetrics, FieldsUseTheCallersPrecision) {
+  const SeriesPoint p = synthetic_point(false, false);
+  std::ostringstream out;
+  out << std::setprecision(3);
+  write_point_fields(out, p, Sink::scale);
+  EXPECT_EQ(out.str(),
+            ", \"received_mean\": 3.5, \"delivery_ratio\": 0.35, "
+            "\"transmissions\": 3, \"deliveries\": 36, \"suppressed_down\": 5, "
+            "\"suppressed_partition\": 7, \"table_probes\": 350, \"pool_hits\": 10, "
+            "\"pool_misses\": 3");
+}
+
 TEST_F(AtomicFileTest, AtomicFileCommitsOrLeavesNothing) {
   const std::string path = path_in("out.txt");
-  ASSERT_TRUE(harness::write_file_atomic(path, [](std::ostream& out) {
-    out << "payload";
-  }));
+  {
+    harness::AtomicFile file{path};
+    ASSERT_TRUE(file.ok());
+    file.stream() << "payload";
+    EXPECT_FALSE(fs::exists(path));  // nothing visible before commit
+    ASSERT_TRUE(file.commit());
+  }
   EXPECT_EQ(read_file(path), "payload");
 
   const std::string dropped = path_in("dropped.txt");
