@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iosfwd>
+#include <utility>
 #include <vector>
 
 #include "harness/network.h"
@@ -43,6 +44,21 @@ struct Mean {
 };
 using U64Mean = Mean<std::uint64_t>;
 using F64Mean = Mean<double>;
+
+// Pools per-run (mean, sample count) pairs over their samples instead
+// of over seeds: sum(mean * count) / sum(count), 0 with no samples.
+struct WeightedMean {
+  using value_type = double;
+  double sum{0.0};
+  std::uint64_t count{0};
+  void add(std::pair<double, std::uint64_t> v) {
+    sum += v.first * static_cast<double>(v.second);
+    count += v.second;
+  }
+  [[nodiscard]] double mean(std::size_t) const {
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
+};
 
 }  // namespace metric
 
@@ -104,8 +120,9 @@ using F64Mean = Mean<double>;
     Sink::figure | Sink::adversary, r.totals.trust_false_positives)                 \
   X(mean_trust_filtered, "trust_filtered", U64Mean, 0, adversary,                  \
     Sink::figure | Sink::adversary, r.totals.trust_filtered)                        \
-  X(mean_detection_latency_s, "detection_latency_s", F64Mean, 0, adversary,        \
-    Sink::figure | Sink::adversary, r.totals.trust_detection_latency_s)
+  X(mean_detection_latency_s, "detection_latency_s", WeightedMean, 0, adversary,   \
+    Sink::figure | Sink::adversary,                                                 \
+    std::make_pair(r.totals.trust_detection_latency_s, r.totals.trust_detections))
 
 struct SeriesPoint {
   double x{0.0};                // swept parameter value

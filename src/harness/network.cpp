@@ -378,6 +378,7 @@ stats::RunResult Network::result() const {
       latency_sum += std::max(0.0, (first_detect[i] - config_.workload.start).to_seconds());
       ++detections;
     }
+    t.trust_detections = detections;
     t.trust_detection_latency_s =
         detections == 0 ? 0.0 : latency_sum / static_cast<double>(detections);
   }

@@ -135,8 +135,10 @@ struct NetworkTotals {
   std::uint64_t trust_false_positives{0}; // of which named an honest node
   std::uint64_t trust_filtered{0};        // packets/sends refused post-isolation
   // Mean sim-seconds from workload start to a true adversary's FIRST
-  // isolation by any monitor, over the adversaries detected at all.
+  // isolation by any monitor, over the adversaries detected at all
+  // (trust_detections of them; 0.0 when there were none).
   double trust_detection_latency_s{0.0};
+  std::uint64_t trust_detections{0};
   // True when this run carried the adversary axis (roles assigned or the
   // trust layer armed). Gates the conditional BENCH json fields, exactly
   // like dtn_active.

@@ -274,6 +274,26 @@ TEST(PointMetrics, AggregateFloorsCountsAndAveragesDoubles) {
   EXPECT_EQ(empty.mean_transmissions, 0u);
 }
 
+TEST(PointMetrics, DetectionLatencyIsWeightedByDetections) {
+  // One seed isolates its adversary 30 s in; the other detects nobody
+  // and reports 0.0. The point's latency is 30 s, not (30 + 0) / 2.
+  stats::RunResult detected;
+  detected.totals.adversary_active = true;
+  detected.totals.trust_detection_latency_s = 30.0;
+  detected.totals.trust_detections = 1;
+  stats::RunResult missed;
+  missed.totals.adversary_active = true;
+  EXPECT_DOUBLE_EQ(aggregate_point(0.2, {detected, missed}).mean_detection_latency_s,
+                   30.0);
+  // Runs weigh by how many adversaries they detected: (30 + 3 * 10) / 4.
+  stats::RunResult three = detected;
+  three.totals.trust_detection_latency_s = 10.0;
+  three.totals.trust_detections = 3;
+  EXPECT_DOUBLE_EQ(aggregate_point(0.2, {detected, three}).mean_detection_latency_s,
+                   15.0);
+  EXPECT_DOUBLE_EQ(aggregate_point(0.2, {missed, missed}).mean_detection_latency_s, 0.0);
+}
+
 TEST(PointMetrics, EachSinkEmitsItsDeclaredKeysInOrder) {
   const std::vector<std::string> figure_core =
       concat({"received_mean", "received_min", "received_max", "received_stddev",
