@@ -23,8 +23,12 @@ namespace ag::harness {
 // writers (scale_smoke, figure_dtn, figure_adversary).
 enum class Sink : unsigned { figure = 1, scale = 2, dtn = 4, adversary = 8 };
 
-[[nodiscard]] constexpr unsigned operator|(unsigned a, Sink b) { return a | static_cast<unsigned>(b); }
-[[nodiscard]] constexpr unsigned operator|(Sink a, Sink b) { return static_cast<unsigned>(a) | b; }
+[[nodiscard]] constexpr unsigned operator|(unsigned a, Sink b) {
+  return a | static_cast<unsigned>(b);
+}
+[[nodiscard]] constexpr unsigned operator|(Sink a, Sink b) {
+  return static_cast<unsigned>(a) | b;
+}
 
 // Which SeriesPoint flag a metric row is gated on. The figure sink only
 // writes a dtn/adversary row when that flag is set, so figures without

@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <iomanip>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -224,11 +223,11 @@ std::vector<std::string> keys_written(const SeriesPoint& p, Sink sink) {
   std::ostringstream out;
   write_point_fields(out, p, sink);
   const std::string fields = out.str();
-  const std::regex key{"\"([a-z_]+)\": "};
   std::vector<std::string> keys;
-  for (auto it = std::sregex_iterator(fields.begin(), fields.end(), key);
-       it != std::sregex_iterator(); ++it) {
-    keys.push_back((*it)[1]);
+  for (std::size_t at = fields.find(", \""); at != std::string::npos;
+       at = fields.find(", \"", at + 1)) {
+    const std::size_t begin = at + 3;
+    keys.push_back(fields.substr(begin, fields.find("\": ", begin) - begin));
   }
   return keys;
 }
