@@ -73,13 +73,8 @@ inline void handle_help_flag(int argc, char** argv, const char* description,
       "  --protocols=a,b   protocol series to run (registry names; see error\n"
       "                    message of an unknown name for the full list)\n"
       "  --help, -h        this text\n"
-      "\nEnvironment knobs (all runs are bit-identical across the engine\n"
-      "hatches; see README \"Environment variables\"):\n"
-      "  AG_SEEDS=<n>            seeds per point (overrides the default)\n"
-      "  AG_SPATIAL_INDEX=off    brute-force phy neighbor scan\n"
-      "  AG_DENSE_TABLES=off     ordered-map table backends\n"
-      "  AG_BATCHED_BACKOFF=off  per-slot MAC contention reference engine\n"
-      "  AG_BATCHED_PHY=off      per-receiver radio reference engine\n");
+      "\nEnvironment (see README \"Environment variables\"):\n"
+      "  AG_SEEDS=<n>      seeds per point (overrides the default)\n");
   std::exit(0);
 }
 
@@ -121,19 +116,12 @@ inline TimedResult timed_run(const harness::ExperimentBuilder& builder) {
   return {std::move(result), wall.count()};
 }
 
-// Simulated work behind a result, independent of the engine: events
-// executed plus the work the batched MAC/phy engines represented without
-// an event, summed over every run. The emitted `sim_events` field is
-// therefore identical across the AG_BATCHED_* modes; `wall_clock_s` and
-// `events_per_sec` next to it are not.
-inline std::uint64_t effective_sim_events(const harness::ExperimentResult& result) {
+// Simulator events executed behind a result, summed over every run.
+inline std::uint64_t total_sim_events(const harness::ExperimentResult& result) {
   std::uint64_t events = 0;
   for (const harness::FigureSeries& s : result.series) {
     for (const harness::SeriesPoint& p : s.points) {
-      for (const stats::RunResult& r : p.runs) {
-        events += r.totals.sim_events + r.totals.mac_events_elided() +
-                  r.totals.phy_events_elided();
-      }
+      for (const stats::RunResult& r : p.runs) events += r.totals.sim_events;
     }
   }
   return events;
@@ -164,7 +152,7 @@ struct GridCell {
 
 // Writes a grid bench's JSON: {"experiment", "param", "seeds",
 // <header_fields>, "points": [...]}, where each point carries its label,
-// node count and own fields, wall clock, effective_sim_events and
+// node count and own fields, wall clock, executed sim_events and
 // events/sec, then one line per series with the `sink` fields.
 inline bool write_grid_json(const std::string& path, const char* experiment,
                             const char* param, std::uint32_t seeds,
@@ -177,7 +165,7 @@ inline bool write_grid_json(const std::string& path, const char* experiment,
       << "\",\n  \"seeds\": " << seeds << ",\n" << header_fields << "  \"points\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const GridCell& cell = cells[i];
-    const std::uint64_t events = effective_sim_events(cell.run.result);
+    const std::uint64_t events = total_sim_events(cell.run.result);
     const double wall_s = cell.run.wall_s;
     out << "    {\"label\": \"" << cell.label << "\", \"nodes\": " << cell.nodes
         << cell.fields << ", \"wall_clock_s\": " << wall_s << ", \"sim_events\": " << events

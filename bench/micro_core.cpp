@@ -3,9 +3,7 @@
 // events-per-second rate of a full protocol stack.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gossip/history_table.h"
@@ -124,47 +122,38 @@ void BM_MemberCacheObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_MemberCacheObserve);
 
-// Saturated single-cell contention: every node in mutual range, every
-// interface queue stuffed with broadcasts, so the run is pure CSMA
-// contention — the isolation bench for the analytic backoff countdown.
-// Reports events per delivered frame (the elision metric: the per-slot
-// machine burns a tick event per backoff slot, the batched engine one
-// fused deadline per countdown) and the mac_slot share of all events.
-// Arg(1) = batched analytic engine (default), Arg(0) = per-slot
-// reference via AG_BATCHED_BACKOFF=off.
-void BM_SaturatedCellContention(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  // Save/restore any user-set engine choice so later benchmarks in this
-  // process still measure what the caller asked for.
-  // ag-lint: allow(env, A/B bench saves the caller's engine choice)
-  const char* prior_raw = getenv("AG_BATCHED_BACKOFF");
-  const std::string prior = prior_raw == nullptr ? "" : prior_raw;
-  const bool had_prior = prior_raw != nullptr;
-  // ag-lint: allow(env, A/B bench toggles the escape hatch per Arg)
-  setenv("AG_BATCHED_BACKOFF", batched ? "on" : "off", 1);
-  constexpr std::size_t kNodes = 10;
-  constexpr int kFramesPerNode = 40;
-  std::uint64_t events = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t mac_slot_events = 0;
+// One static cell for the engine A/B benches: `positions.size()` nodes
+// whose interface queues are each stuffed with `frames_per_node`
+// broadcast hellos, run to completion. The engine under test is picked
+// by `phy` / `mac`, exactly as a ScenarioConfig picks it.
+struct CellRun {
+  std::uint64_t events{0};
+  std::uint64_t delivered{0};
+  std::uint64_t mac_slot_events{0};
+  std::uint64_t rx_elided{0};
+  std::uint64_t rx_coalesced{0};
+};
+
+// Runs the cell once per benchmark iteration, sums its counters, and
+// reports items processed plus events per delivered frame.
+CellRun run_cell_bench(benchmark::State& state, const std::vector<mobility::Vec2>& positions,
+                       int frames_per_node, const phy::PhyParams& phy,
+                       const mac::MacParams& mac) {
+  CellRun total;
   for (auto _ : state) {
-    std::vector<mobility::Vec2> positions;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      positions.push_back({static_cast<double>(i) * 5.0, 0.0});
-    }
     sim::Simulator sim;
-    mobility::StaticMobility mobility{std::move(positions)};
-    phy::Channel channel{sim, mobility, phy::PhyParams{100.0, 2e6, 192.0, 3e8}};
+    mobility::StaticMobility mobility{positions};
+    phy::Channel channel{sim, mobility, phy};
     std::vector<std::unique_ptr<phy::Radio>> radios;
     std::vector<std::unique_ptr<mac::CsmaMac>> macs;
-    for (std::size_t i = 0; i < kNodes; ++i) {
+    for (std::size_t i = 0; i < positions.size(); ++i) {
       radios.push_back(std::make_unique<phy::Radio>(sim, channel, i));
       channel.attach(radios.back().get());
       macs.push_back(std::make_unique<mac::CsmaMac>(
-          sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)},
-          mac::MacParams{}, sim.rng().stream("mac", i)));
+          sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)}, mac,
+          sim.rng().stream("mac", i)));
     }
-    for (int f = 0; f < kFramesPerNode; ++f) {
+    for (int f = 0; f < frames_per_node; ++f) {
       for (auto& m : macs) {
         net::Packet p;
         p.src = m->self();
@@ -173,26 +162,41 @@ void BM_SaturatedCellContention(benchmark::State& state) {
       }
     }
     sim.run_all();
-    events += sim.executed_events();
-    mac_slot_events +=
+    total.events += sim.executed_events();
+    total.mac_slot_events +=
         sim.event_mix().executed[sim::category_index(sim::EventCategory::mac_slot)];
-    for (auto& m : macs) delivered += m->counters().delivered_up;
+    total.rx_elided += channel.rx_elided();
+    total.rx_coalesced += channel.rx_coalesced();
+    for (auto& m : macs) total.delivered += m->counters().delivered_up;
   }
-  if (had_prior) {
-    // ag-lint: allow(env, A/B bench restores the caller's engine choice)
-    setenv("AG_BATCHED_BACKOFF", prior.c_str(), 1);
-  } else {
-    // ag-lint: allow(env, A/B bench restores the caller's engine choice)
-    unsetenv("AG_BATCHED_BACKOFF");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  if (delivered > 0) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(total.events));
+  if (total.delivered > 0) {
     state.counters["events_per_delivered_frame"] =
-        static_cast<double>(events) / static_cast<double>(delivered);
+        static_cast<double>(total.events) / static_cast<double>(total.delivered);
   }
-  if (events > 0) {
+  return total;
+}
+
+// Saturated single-cell contention: every node in mutual range, every
+// interface queue stuffed with broadcasts, so the run is pure CSMA
+// contention — the isolation bench for the analytic backoff countdown.
+// Reports events per delivered frame (the elision metric: the per-slot
+// machine burns a tick event per backoff slot, the batched engine one
+// fused deadline per countdown) and the mac_slot share of all events.
+// Arg(1) = batched analytic engine (default), Arg(0) = per-slot
+// reference (MacParams::batched_backoff = false).
+void BM_SaturatedCellContention(benchmark::State& state) {
+  std::vector<mobility::Vec2> positions;
+  for (std::size_t i = 0; i < 10; ++i) {
+    positions.push_back({static_cast<double>(i) * 5.0, 0.0});
+  }
+  mac::MacParams mac;
+  mac.batched_backoff = state.range(0) != 0;
+  const CellRun total =
+      run_cell_bench(state, positions, 40, phy::PhyParams{100.0, 2e6, 192.0, 3e8}, mac);
+  if (total.events > 0) {
     state.counters["mac_slot_share"] =
-        static_cast<double>(mac_slot_events) / static_cast<double>(events);
+        static_cast<double>(total.mac_slot_events) / static_cast<double>(total.events);
   }
 }
 BENCHMARK(BM_SaturatedCellContention)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
@@ -204,74 +208,23 @@ BENCHMARK(BM_SaturatedCellContention)->Arg(1)->Arg(0)->Unit(benchmark::kMillisec
 // with one completion event and elides doomed receptions outright. The
 // isolation bench for phy::BatchedPhy. Reports events per delivered
 // frame plus the elided/coalesced reception split. Arg(1) = batched
-// delivery engine (default), Arg(0) = per-receiver reference via
-// AG_BATCHED_PHY=off.
+// delivery engine (default), Arg(0) = per-receiver reference
+// (PhyParams::use_batched_phy = false).
 void BM_DenseCellDeliveryStorm(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  // Save/restore any user-set engine choice so later benchmarks in this
-  // process still measure what the caller asked for.
-  // ag-lint: allow(env, A/B bench saves the caller's engine choice)
-  const char* prior_raw = getenv("AG_BATCHED_PHY");
-  const std::string prior = prior_raw == nullptr ? "" : prior_raw;
-  const bool had_prior = prior_raw != nullptr;
-  // ag-lint: allow(env, A/B bench toggles the escape hatch per Arg)
-  setenv("AG_BATCHED_PHY", batched ? "on" : "off", 1);
-  constexpr std::size_t kNodes = 24;
-  constexpr int kFramesPerNode = 30;
-  std::uint64_t events = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t rx_elided = 0;
-  std::uint64_t rx_coalesced = 0;
-  for (auto _ : state) {
-    std::vector<mobility::Vec2> positions;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      positions.push_back({static_cast<double>(i % 6) * 8.0,
-                           static_cast<double>(i / 6) * 8.0});
-    }
-    sim::Simulator sim;
-    mobility::StaticMobility mobility{std::move(positions)};
-    phy::Channel channel{sim, mobility, phy::PhyParams{100.0, 2e6, 192.0, 3e8}};
-    std::vector<std::unique_ptr<phy::Radio>> radios;
-    std::vector<std::unique_ptr<mac::CsmaMac>> macs;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      radios.push_back(std::make_unique<phy::Radio>(sim, channel, i));
-      channel.attach(radios.back().get());
-      macs.push_back(std::make_unique<mac::CsmaMac>(
-          sim, *radios.back(), channel, net::NodeId{static_cast<std::uint32_t>(i)},
-          mac::MacParams{}, sim.rng().stream("mac", i)));
-    }
-    for (int f = 0; f < kFramesPerNode; ++f) {
-      for (auto& m : macs) {
-        net::Packet p;
-        p.src = m->self();
-        p.payload = aodv::HelloMsg{m->self(), net::SeqNo{1}};
-        m->send(net::NodeId::broadcast(), std::move(p));
-      }
-    }
-    sim.run_all();
-    events += sim.executed_events();
-    rx_elided += channel.rx_elided();
-    rx_coalesced += channel.rx_coalesced();
-    for (auto& m : macs) delivered += m->counters().delivered_up;
+  std::vector<mobility::Vec2> positions;
+  for (std::size_t i = 0; i < 24; ++i) {
+    positions.push_back({static_cast<double>(i % 6) * 8.0,
+                         static_cast<double>(i / 6) * 8.0});
   }
-  if (had_prior) {
-    // ag-lint: allow(env, A/B bench restores the caller's engine choice)
-    setenv("AG_BATCHED_PHY", prior.c_str(), 1);
-  } else {
-    // ag-lint: allow(env, A/B bench restores the caller's engine choice)
-    unsetenv("AG_BATCHED_PHY");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  if (delivered > 0) {
-    state.counters["events_per_delivered_frame"] =
-        static_cast<double>(events) / static_cast<double>(delivered);
-  }
-  if (events > 0) {
-    state.counters["phy_rx_elided_share"] =
-        static_cast<double>(rx_elided) / static_cast<double>(events + rx_elided + rx_coalesced);
+  phy::PhyParams phy{100.0, 2e6, 192.0, 3e8};
+  phy.use_batched_phy = state.range(0) != 0;
+  const CellRun total = run_cell_bench(state, positions, 30, phy, mac::MacParams{});
+  if (total.events > 0) {
+    const double represented =
+        static_cast<double>(total.events + total.rx_elided + total.rx_coalesced);
+    state.counters["phy_rx_elided_share"] = static_cast<double>(total.rx_elided) / represented;
     state.counters["phy_rx_coalesced_share"] =
-        static_cast<double>(rx_coalesced) /
-        static_cast<double>(events + rx_elided + rx_coalesced);
+        static_cast<double>(total.rx_coalesced) / represented;
   }
 }
 BENCHMARK(BM_DenseCellDeliveryStorm)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);

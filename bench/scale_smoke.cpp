@@ -35,9 +35,6 @@
 
 #include "figure_common.h"
 #include "harness/atomic_io.h"
-#include "mac/csma_mac.h"
-#include "net/data_plane.h"
-#include "phy/channel.h"
 #include "sim/event_category.h"
 
 namespace {
@@ -144,7 +141,7 @@ EventMixTotals total_event_mix(const ag::harness::ExperimentResult& result) {
 }
 
 bool write_scale_json(const std::string& path, const std::vector<PointReport>& reports,
-                      std::uint32_t seeds, bool index_on) {
+                      std::uint32_t seeds) {
   ag::harness::AtomicFile file{path};
   if (!file.ok()) return false;
   std::ostream& out = file.stream();
@@ -152,29 +149,11 @@ bool write_scale_json(const std::string& path, const std::vector<PointReport>& r
   out << "  \"experiment\": \"scale_smoke\",\n";
   out << "  \"param\": \"node_count\",\n";
   out << "  \"seeds\": " << seeds << ",\n";
-  out << "  \"spatial_index\": " << (index_on ? "true" : "false") << ",\n";
-  out << "  \"dense_tables\": " << (ag::net::dense_tables_enabled() ? "true" : "false")
-      << ",\n";
-  out << "  \"batched_backoff\": "
-      << (ag::mac::batched_backoff_enabled() ? "true" : "false") << ",\n";
-  out << "  \"batched_phy\": "
-      << (ag::phy::batched_phy_enabled() ? "true" : "false") << ",\n";
   out << "  \"points\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const PointReport& rep = reports[i];
     const double events_per_sec =
         rep.wall_s > 0.0 ? static_cast<double>(rep.mix.sim_events) / rep.wall_s : 0.0;
-    // Mode-comparable throughput: elided backoff slots, absorbed DIFS
-    // waits, and reception completions the batched phy resolved without
-    // an event all represent the same simulated work whether or not they
-    // became events, so adding them back makes every engine combination
-    // directly comparable (and the rates coincide when nothing is
-    // elided).
-    const std::uint64_t effective_events =
-        rep.mix.sim_events + rep.mix.slots_elided + rep.mix.difs_elided +
-        rep.mix.phy_rx_elided + rep.mix.phy_rx_coalesced;
-    const double effective_per_sec =
-        rep.wall_s > 0.0 ? static_cast<double>(effective_events) / rep.wall_s : 0.0;
     out << "    {\"nodes\": " << rep.nodes << ", \"sim_duration_s\": " << rep.duration_s
         << ", \"wall_clock_s\": " << rep.wall_s
         << ", \"sim_events\": " << rep.mix.sim_events
@@ -183,8 +162,6 @@ bool write_scale_json(const std::string& path, const std::vector<PointReport>& r
         << ", \"mac_difs_elided\": " << rep.mix.difs_elided
         << ", \"phy_rx_elided\": " << rep.mix.phy_rx_elided
         << ", \"phy_rx_coalesced\": " << rep.mix.phy_rx_coalesced
-        << ", \"effective_events\": " << effective_events
-        << ", \"effective_events_per_sec\": " << effective_per_sec
         << ", \"event_mix\": {";
     for (std::size_t c = 0; c < ag::sim::kEventCategoryCount; ++c) {
       out << (c > 0 ? ", " : "") << "\"" << ag::sim::event_category_name(c)
@@ -210,13 +187,9 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> node_counts =
       nodes_from_cli(argc, argv, {40, 120, 250, 500, 1000, 2000});
 
-  harness::ScenarioConfig base = bench::paper_base();
-  const bool index_on = base.phy.use_spatial_index && !phy::spatial_index_env_off();
+  const harness::ScenarioConfig base = bench::paper_base();
 
-  std::printf("== Scaling smoke (constant mean degree, short run; spatial index %s, "
-              "batched backoff %s, batched phy %s) ==\n",
-              index_on ? "on" : "OFF", mac::batched_backoff_enabled() ? "on" : "OFF",
-              phy::batched_phy_enabled() ? "on" : "OFF");
+  std::printf("== Scaling smoke (constant mean degree, short run) ==\n");
   std::printf("%-8s %-7s %-10s %-12s %-12s per-protocol received avg (delivery)\n",
               "#nodes", "sim(s)", "wall(s)", "sim events", "events/s");
 
@@ -259,7 +232,7 @@ int main(int argc, char** argv) {
     reports.push_back({n, duration_s, wall_s, mix, std::move(result)});
   }
 
-  if (!write_scale_json("BENCH_scale.json", reports, seeds, index_on)) {
+  if (!write_scale_json("BENCH_scale.json", reports, seeds)) {
     std::fprintf(stderr, "error: failed to write BENCH_scale.json\n");
     return 1;
   }

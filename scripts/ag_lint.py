@@ -24,10 +24,10 @@ Enforces the written-but-previously-unchecked rules of this simulator
                sim::EventCategory (or forward a `category`/`category_`
                parameter) so the event-mix accounting never silently
                lumps new event types under "other".
-  env          AG_* environment knobs are read in exactly one place,
-               src/sim/env.h — getenv/setenv anywhere else in src/ or
-               bench/ must be annotated (escape-hatch A/B benches) or
-               moved behind an env.h helper.
+  env          the AG_* environment knob (AG_SEEDS) is read in exactly
+               one place, src/sim/env.h — getenv/setenv anywhere else in
+               src/ or bench/ must be annotated or moved behind an env.h
+               helper. Engine choices are per-run config, not knobs.
 
 Suppression (reason is mandatory):
 

@@ -105,25 +105,16 @@ def main() -> int:
     print(f"### {title}\n")
     if experiment == "dtn":
         print(f"seeds: {seeds} · users/node: {data.get('sessions_per_node', '?')}\n")
-    elif experiment == "adversary":
-        print(f"seeds: {seeds}\n")
     else:
-        index = json.dumps(data.get("spatial_index", "?"))
-        dense = json.dumps(data.get("dense_tables", "?"))
-        batched = json.dumps(data.get("batched_backoff", "?"))
-        batched_phy = json.dumps(data.get("batched_phy", "?"))
-        print(
-            f"seeds: {seeds} · spatial index: {index} · dense tables: {dense}"
-            f" · batched backoff: {batched} · batched phy: {batched_phy}\n"
-        )
+        print(f"seeds: {seeds}\n")
     print(
         "| point | sim (s) | wall (s) | sim events | events/sec "
-        "| events elided | effective ev/sec | per-protocol delivery "
+        "| events elided | per-protocol delivery "
         "| users served | trust iso/fp |"
     )
     print(
         "|:------|--------:|---------:|-----------:|-----------:"
-        "|--------------:|-----------------:|:----------------------"
+        "|--------------:|:----------------------"
         "|:-------------|:-------------|"
     )
     points = data.get("points", [])
@@ -133,7 +124,7 @@ def main() -> int:
     if not points:
         # Placeholder row: the budget tripped before the first point (or
         # the schema changed) — keep the table well-formed either way.
-        print("| _no points recorded_ | — | — | — | — | — | — | — | — | — |")
+        print("| _no points recorded_ | — | — | — | — | — | — | — | — |")
     for point in points:
         # MAC slot/DIFS elision plus the phy receptions the batched
         # delivery engine resolved without their own event (elided
@@ -143,9 +134,6 @@ def main() -> int:
             + _num(point.get("mac_difs_elided"))
             + _num(point.get("phy_rx_elided"))
             + _num(point.get("phy_rx_coalesced"))
-        )
-        effective = _num(
-            point.get("effective_events_per_sec"), _num(point.get("events_per_sec"))
         )
         # Simulated seconds per point (scale_smoke caps node-seconds, so
         # huge points run shorter); absent from dtn/older BENCH files.
@@ -158,7 +146,6 @@ def main() -> int:
             f"| {_num(point.get('sim_events')):,} "
             f"| {_num(point.get('events_per_sec')):,.0f} "
             f"| {elided:,} "
-            f"| {effective:,.0f} "
             f"| {_fmt_protocols(point)} "
             f"| {_fmt_users_served(point)} "
             f"| {_fmt_trust(point)} |"

@@ -4,11 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/env.h"
-
 namespace ag::mac {
-
-bool batched_backoff_enabled() { return !sim::env_flag_off("AG_BATCHED_BACKOFF"); }
 
 CsmaMac::CsmaMac(sim::Simulator& sim, phy::Radio& radio, const phy::Channel& channel,
                  net::NodeId self, MacParams params, sim::Rng rng)
@@ -19,7 +15,7 @@ CsmaMac::CsmaMac(sim::Simulator& sim, phy::Radio& radio, const phy::Channel& cha
       params_{params},
       rng_{rng},
       cw_{params.cw_min},
-      batched_{batched_backoff_enabled()},
+      batched_{params.batched_backoff},
       // Nominal category only: every restart() below passes its own
       // (mac_slot or mac_difs depending on the phase being armed).
       access_timer_{sim,

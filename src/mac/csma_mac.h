@@ -10,9 +10,10 @@
 // busy transition pauses analytically — whole slots elapsed since DIFS
 // completion are credited in O(1), the partial slot in progress is
 // forfeited, exactly as the per-slot tick machine would have done. The
-// per-slot reference machine stays alive behind AG_BATCHED_BACKOFF=off
-// (same pattern as AG_SPATIAL_INDEX / AG_DENSE_TABLES) and whole runs
-// are bit-identical either way; see ARCHITECTURE.md "MAC contention".
+// per-slot reference machine stays alive behind
+// MacParams::batched_backoff = false (read at construction), and whole
+// runs are bit-identical either way; see ARCHITECTURE.md "MAC
+// contention".
 #ifndef AG_MAC_CSMA_MAC_H
 #define AG_MAC_CSMA_MAC_H
 
@@ -30,15 +31,6 @@
 #include "sim/timer.h"
 
 namespace ag::mac {
-
-// True unless AG_BATCHED_BACKOFF=off|0|false is set in the environment —
-// the process-wide escape hatch that swaps the analytic fused-deadline
-// contention countdown back onto the per-slot reference machine. Both
-// engines produce bit-identical runs (pinned by
-// batched_backoff_equivalence_test); the hatch exists to bisect
-// contention-engine bugs and to re-verify the equivalence on any
-// scenario. Read at CsmaMac construction.
-[[nodiscard]] bool batched_backoff_enabled();
 
 // Implemented by the routing layer.
 class MacListener {
@@ -105,7 +97,7 @@ class CsmaMac final : public phy::RadioListener {
     // Whole backoff slots consumed by the countdown (each decrement of
     // backoff_slots_, whether ticked one event at a time or credited
     // analytically in a batch). Engine-independent by construction —
-    // the equivalence suite pins it across AG_BATCHED_BACKOFF modes.
+    // the equivalence suite pins it across both countdown engines.
     std::uint64_t backoff_slots_credited{0};
     // DIFS waits the fused deadline absorbed: countdowns that served a
     // DIFS remainder *and* backoff slots in one event, where the

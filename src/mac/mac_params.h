@@ -16,6 +16,11 @@ struct MacParams {
   std::uint32_t cw_max{1023};
   std::uint32_t retry_limit{7};
   std::size_t queue_limit{50};  // interface queue, drop tail (ns-2 default)
+  // Contention countdown engine (see mac/csma_mac.h): the analytic fused
+  // DIFS+backoff deadline, or — when false — the per-slot reference
+  // machine. Runs are bit-identical either way, only event counts
+  // differ. Only tests and micro_core's A/B benches clear it.
+  bool batched_backoff{true};
 };
 
 }  // namespace ag::mac

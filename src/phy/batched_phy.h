@@ -9,8 +9,8 @@
 // runs are bit-identical, only the simulator event counts differ.
 //
 // The reference per-receiver engine (phy/radio.cpp) stays selectable
-// behind AG_BATCHED_PHY=off forever; batched_phy_equivalence_test pins
-// the equivalence, and the elision accounting reconstructs the
+// behind PhyParams::use_batched_phy = false. batched_phy_equivalence_test
+// pins the equivalence, and the elision accounting reconstructs the
 // reference's executed phy_delivery event count exactly:
 //   ref executed == batched executed + rx_elided + rx_coalesced.
 //

@@ -7,22 +7,17 @@
 #include "mobility/vec2.h"
 #include "phy/batched_phy.h"
 #include "phy/radio.h"
-#include "sim/env.h"
 
 namespace ag::phy {
-
-bool spatial_index_env_off() { return sim::env_flag_off("AG_SPATIAL_INDEX"); }
-
-bool batched_phy_enabled() { return !sim::env_flag_off("AG_BATCHED_PHY"); }
 
 Channel::Channel(sim::Simulator& sim, const mobility::MobilityModel& mobility,
                  PhyParams params)
     : sim_{sim},
       mobility_{mobility},
       params_{params},
-      use_index_{params.use_spatial_index && !spatial_index_env_off()},
+      use_index_{params.use_spatial_index},
       rx_pool_{std::make_shared<RxBufPool>()} {
-  if (params.use_batched_phy && batched_phy_enabled()) {
+  if (params.use_batched_phy) {
     batched_ = std::make_unique<BatchedPhy>(sim_, *this);
   }
 }

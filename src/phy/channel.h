@@ -5,9 +5,9 @@
 // Receiver lookup goes through a grid spatial index (phy/spatial_index.h)
 // keyed off mobility positions — O(degree) per transmit instead of the
 // brute-force O(n) scan — and the frame is scheduled as one shared
-// immutable copy across all receivers. PhyParams::use_spatial_index (or
-// the AG_SPATIAL_INDEX=off environment variable) restores the brute-force
-// scan; both paths make bit-identical delivery decisions.
+// immutable copy across all receivers. PhyParams::use_spatial_index =
+// false restores the brute-force scan; both paths make bit-identical
+// delivery decisions.
 #ifndef AG_PHY_CHANNEL_H
 #define AG_PHY_CHANNEL_H
 
@@ -26,16 +26,6 @@ namespace ag::phy {
 
 class BatchedPhy;
 class Radio;
-
-// True when AG_SPATIAL_INDEX=off|0|false is set in the environment — the
-// process-wide escape hatch disabling the spatial index (see README).
-[[nodiscard]] bool spatial_index_env_off();
-
-// True unless AG_BATCHED_PHY=off|0|false is set in the environment — the
-// process-wide escape hatch selecting the per-receiver reference phy
-// engine (see README and phy/batched_phy.h). Combined with
-// PhyParams::use_batched_phy at Channel construction.
-[[nodiscard]] bool batched_phy_enabled();
 
 class Channel {
  public:
@@ -94,17 +84,15 @@ class Channel {
 
   [[nodiscard]] double distance_between(std::size_t a, std::size_t b) const;
 
-  // True when receiver lookup goes through the spatial index (params flag
-  // and the AG_SPATIAL_INDEX environment override, resolved at
-  // construction).
+  // True when receiver lookup goes through the spatial index
+  // (PhyParams::use_spatial_index).
   [[nodiscard]] bool spatial_index_enabled() const { return use_index_; }
   // The live index, or nullptr before the first transmit / when disabled.
   [[nodiscard]] const SpatialIndex* spatial_index() const { return index_.get(); }
 
   // The batched delivery engine, or nullptr when the per-receiver
-  // reference engine is selected (params flag and the AG_BATCHED_PHY
-  // environment override, resolved at construction). Radios pick their
-  // state backend from this at construction.
+  // reference engine is selected (PhyParams::use_batched_phy). Radios
+  // pick their state backend from this at construction.
   [[nodiscard]] BatchedPhy* batched_engine() { return batched_.get(); }
   // --- batched-engine elision accounting (zero in the reference engine;
   // see stats::NetworkTotals::phy_events_elided) ---

@@ -14,15 +14,13 @@ struct PhyParams {
   // Receiver lookup via the grid spatial index (see phy/spatial_index.h).
   // Off falls back to the brute-force O(n) scan — delivery decisions are
   // bit-identical either way; the flag exists so the equivalence is
-  // testable forever. The AG_SPATIAL_INDEX=off environment escape hatch
-  // overrides this at Channel construction.
+  // testable forever. Only tests and micro_core's A/B benches clear it.
   bool use_spatial_index{true};
   // Batched phy delivery engine (see phy/batched_phy.h): one completion
   // event per frame plus analytic elision of doomed receptions. Off
   // falls back to the per-receiver reference engine in phy/radio.cpp —
-  // runs are bit-identical either way, only event counts differ. The
-  // AG_BATCHED_PHY=off environment escape hatch overrides this at
-  // Channel construction.
+  // runs are bit-identical either way, only event counts differ. Only
+  // tests and micro_core's A/B benches clear it.
   bool use_batched_phy{true};
 };
 

@@ -5,10 +5,10 @@
 //
 // This file is the per-receiver REFERENCE engine (one finish_reception
 // event per reception) and the facade over the batched engine: when the
-// channel runs phy::BatchedPhy (AG_BATCHED_PHY, PhyParams::
-// use_batched_phy), radio state lives in the engine's flat per-node
-// arrays and every method forwards — same listener callbacks in the
-// same order, same counters, fewer events. See phy/batched_phy.h.
+// channel runs phy::BatchedPhy (PhyParams::use_batched_phy, the
+// default), radio state lives in the engine's flat per-node arrays and
+// every method forwards — same listener callbacks in the same order,
+// same counters, fewer events. See phy/batched_phy.h.
 #ifndef AG_PHY_RADIO_H
 #define AG_PHY_RADIO_H
 

@@ -1,9 +1,9 @@
-// Shared parser for the AG_* environment knobs (AG_SEEDS, and the
-// reference-engine hatches AG_SPATIAL_INDEX, AG_DENSE_TABLES,
-// AG_BATCHED_BACKOFF and AG_BATCHED_PHY): the single place in the tree
-// that reads AG_* variables, so knob spellings can never drift apart
-// between call sites. Enforced by scripts/ag_lint.py rule `env` — getenv
-// anywhere else must carry an allow annotation.
+// Parser for the one AG_* environment knob, AG_SEEDS: the single place in
+// the tree that reads AG_* variables, so a knob's spelling and validation
+// can never drift apart between call sites. Engine choices are per-run
+// config (PhyParams / MacParams), never environment variables. Enforced
+// by scripts/ag_lint.py rule `env` — getenv anywhere else must carry an
+// allow annotation.
 #ifndef AG_SIM_ENV_H
 #define AG_SIM_ENV_H
 
@@ -11,18 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace ag::sim {
-
-// True when the variable is set to off|0|false; unset or anything else
-// means the feature stays on.
-[[nodiscard]] inline bool env_flag_off(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  return std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-         std::strcmp(v, "false") == 0;
-}
 
 // Strictly-positive integer knob (e.g. AG_SEEDS): unset/empty returns
 // `fallback`; a malformed or out-of-range value warns on stderr and

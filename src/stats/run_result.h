@@ -51,16 +51,14 @@ struct NetworkTotals {
   std::uint64_t sim_events{0};
   // Event-mix accounting (sim::EventCategory order, names via
   // sim::event_category_name): events scheduled and executed per
-  // category. These counts legitimately differ across the
-  // AG_BATCHED_BACKOFF modes — the analytic countdown elides per-slot
-  // tick events — so they feed BENCH_scale.json and the microbenches,
-  // NOT the mode-independent figure JSONs.
+  // category. These counts legitimately differ between the MAC/phy
+  // engines (MacParams::batched_backoff, PhyParams::use_batched_phy) —
+  // the analytic engines elide events — so they feed BENCH_scale.json
+  // and the microbenches, NOT the engine-independent figure JSONs.
   std::uint64_t ev_scheduled[sim::kEventCategoryCount]{};
   std::uint64_t ev_executed[sim::kEventCategoryCount]{};
   // Whole backoff slots consumed by every MAC's contention countdown —
-  // engine-independent (ticked or analytically credited), so
-  // sim_events + mac_events_elided() is a mode-comparable measure of
-  // simulated work.
+  // engine-independent (ticked or analytically credited).
   std::uint64_t mac_backoff_slots_credited{0};
   // DIFS waits absorbed into a fused slot-countdown deadline (the
   // reference engine runs them as their own mac_difs events). Zero in
@@ -74,11 +72,6 @@ struct NetworkTotals {
         ev_executed[sim::category_index(sim::EventCategory::mac_slot)];
     return mac_backoff_slots_credited > ticked ? mac_backoff_slots_credited - ticked
                                                : 0;
-  }
-  // Everything the analytic countdown represented without an event:
-  // sim_events + this reconstructs what the reference engine executes.
-  [[nodiscard]] std::uint64_t mac_events_elided() const {
-    return mac_slots_elided() + mac_difs_elided;
   }
   // --- batched phy engine elision accounting (phy/batched_phy.h; both
   // zero in the per-receiver reference engine) ---
@@ -98,8 +91,8 @@ struct NetworkTotals {
   }
   // Data-plane work (net::DataPlaneCounters, diffed per run): logical
   // NodeTable/DenseMap operations and packet-pool allocation behaviour.
-  // Counted at the container API level, so the dense and AG_DENSE_TABLES
-  // =off reference backends report identical numbers.
+  // Counted at the container API level (one per call), not per probe
+  // step.
   std::uint64_t table_probes{0};
   std::uint64_t pool_hits{0};
   std::uint64_t pool_misses{0};

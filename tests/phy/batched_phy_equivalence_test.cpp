@@ -1,21 +1,19 @@
 // Whole-run equivalence of the batched phy delivery engine against the
-// AG_BATCHED_PHY=off per-receiver reference machine: sweeping one
-// completion event over a delivery group and analytically eliding
-// doomed receptions must not move a single listener callback, so full
-// simulations are bit-identical — only the number of simulator events
-// differs (that's the point). This is the suite the
+// per-receiver reference machine (PhyParams::use_batched_phy = false):
+// sweeping one completion event over a delivery group and analytically
+// eliding doomed receptions must not move a single listener callback, so
+// full simulations are bit-identical — only the number of simulator
+// events differs (that's the point). This is the suite the
 // BENCH_fig2/BENCH_churn byte-identity claim rests on, the phy-layer
 // analogue of batched_backoff_equivalence_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "harness/network.h"
 #include "harness/scenario.h"
-#include "mac/csma_mac.h"
 #include "mobility/static_mobility.h"
 #include "net/data_plane.h"
 #include "phy/channel.h"
@@ -23,65 +21,29 @@
 #include "sim/event_category.h"
 #include "sim/simulator.h"
 #include "stats/run_result.h"
+#include "testutil/equivalence.h"
 
 namespace ag::phy {
 namespace {
 
-harness::ScenarioConfig short_scenario() {
-  harness::ScenarioConfig c;
-  c.node_count = 40;
-  c.duration = sim::SimTime::seconds(40.0);
-  c.workload.start = sim::SimTime::seconds(10.0);
-  c.workload.end = sim::SimTime::seconds(30.0);
-  return c;
-}
+using testutil::churn_scenario;
+using testutil::short_scenario;
+using testutil::shorter_scenario;
 
-stats::RunResult run_with_mode(const harness::ScenarioConfig& config, bool batched) {
-  if (batched) {
-    unsetenv("AG_BATCHED_PHY");
-  } else {
-    setenv("AG_BATCHED_PHY", "off", 1);
-  }
-  EXPECT_EQ(batched_phy_enabled(), batched);
-  stats::RunResult r = harness::run_scenario(config);
-  unsetenv("AG_BATCHED_PHY");
-  return r;
+stats::RunResult run_with_mode(harness::ScenarioConfig config, bool batched) {
+  config.phy.use_batched_phy = batched;
+  return harness::run_scenario(config);
 }
 
 // Everything the model produced must match; sim_events and the
 // phy_delivery event counts legitimately differ (the batched engine
 // executes fewer events for the same simulated run) and are pinned
-// separately through the elision accounting.
+// here through the elision accounting.
 void expect_identical_runs(const stats::RunResult& batched,
                            const stats::RunResult& reference) {
   const stats::RunResult& a = batched;
   const stats::RunResult& b = reference;
-  EXPECT_EQ(a.packets_sent, b.packets_sent);
-  ASSERT_EQ(a.members.size(), b.members.size());
-  for (std::size_t i = 0; i < a.members.size(); ++i) {
-    EXPECT_EQ(a.members[i].received, b.members[i].received) << "member " << i;
-    EXPECT_EQ(a.members[i].via_gossip, b.members[i].via_gossip) << "member " << i;
-    EXPECT_EQ(a.members[i].eligible, b.members[i].eligible) << "member " << i;
-    EXPECT_DOUBLE_EQ(a.members[i].mean_latency_s, b.members[i].mean_latency_s)
-        << "member " << i;
-  }
-  EXPECT_EQ(a.totals.channel_transmissions, b.totals.channel_transmissions);
-  EXPECT_EQ(a.totals.phy_deliveries, b.totals.phy_deliveries);
-  EXPECT_EQ(a.totals.phy_suppressed_down, b.totals.phy_suppressed_down);
-  EXPECT_EQ(a.totals.phy_suppressed_partition, b.totals.phy_suppressed_partition);
-  EXPECT_EQ(a.totals.mac_unicast, b.totals.mac_unicast);
-  EXPECT_EQ(a.totals.mac_broadcast, b.totals.mac_broadcast);
-  EXPECT_EQ(a.totals.mac_collisions, b.totals.mac_collisions);
-  EXPECT_EQ(a.totals.mac_queue_drops, b.totals.mac_queue_drops);
-  EXPECT_EQ(a.totals.mac_backoff_slots_credited, b.totals.mac_backoff_slots_credited);
-  EXPECT_EQ(a.totals.data_forwarded, b.totals.data_forwarded);
-  EXPECT_EQ(a.totals.gossip_walks, b.totals.gossip_walks);
-  EXPECT_EQ(a.totals.gossip_replies, b.totals.gossip_replies);
-  EXPECT_EQ(a.totals.nm_updates, b.totals.nm_updates);
-  EXPECT_EQ(a.totals.table_probes, b.totals.table_probes);
-  EXPECT_EQ(a.totals.pool_hits, b.totals.pool_hits);
-  EXPECT_EQ(a.totals.pool_misses, b.totals.pool_misses);
-  EXPECT_DOUBLE_EQ(a.delivery_ratio(), b.delivery_ratio());
+  testutil::expect_same_model_output(a, b);
 
   // The engines must agree on how much work was *represented*. The
   // reference never elides, and every non-phy category is untouched by
@@ -114,11 +76,8 @@ void expect_identical_runs(const stats::RunResult& batched,
 
 TEST(BatchedPhyEquivalence, WholeRunBitIdenticalToPerReceiverReference) {
   for (const std::uint64_t seed : {1ULL, 2ULL}) {
-    const stats::RunResult batched =
-        run_with_mode(short_scenario().with_seed(seed), true);
-    const stats::RunResult reference =
-        run_with_mode(short_scenario().with_seed(seed), false);
-    expect_identical_runs(batched, reference);
+    const harness::ScenarioConfig c = short_scenario().with_seed(seed);
+    expect_identical_runs(run_with_mode(c, true), run_with_mode(c, false));
   }
 }
 
@@ -126,16 +85,11 @@ TEST(BatchedPhyEquivalence, ChurnRunBitIdenticalToPerReceiverReference) {
   // Churn exercises abort_receptions on crash (radio loses power
   // mid-frame), down-node suppression inside delivery groups, and
   // partition-driven group membership changes.
-  harness::ScenarioConfig base = short_scenario();
-  base.faults.spec.churn_per_min = 3.0;
-  base.faults.spec.crash_fraction = 0.2;
-  base.faults.spec.partition_duration_s = 8.0;
-
-  const stats::RunResult batched = run_with_mode(base.with_seed(5), true);
-  const stats::RunResult reference = run_with_mode(base.with_seed(5), false);
+  const harness::ScenarioConfig c = churn_scenario().with_seed(5);
+  const stats::RunResult batched = run_with_mode(c, true);
   EXPECT_GT(batched.faults.crashes + batched.faults.leaves + batched.faults.partitions,
             0u);
-  expect_identical_runs(batched, reference);
+  expect_identical_runs(batched, run_with_mode(c, false));
 }
 
 TEST(BatchedPhyEquivalence, EveryProtocolBitIdentical) {
@@ -144,46 +98,21 @@ TEST(BatchedPhyEquivalence, EveryProtocolBitIdentical) {
   for (const harness::Protocol p :
        {harness::Protocol::maodv_gossip, harness::Protocol::odmrp_gossip,
         harness::Protocol::flooding}) {
-    harness::ScenarioConfig c = short_scenario();
-    c.duration = sim::SimTime::seconds(25.0);
-    c.workload.end = sim::SimTime::seconds(20.0);
+    harness::ScenarioConfig c = shorter_scenario();
     c.with_protocol(p).with_seed(3);
     expect_identical_runs(run_with_mode(c, true), run_with_mode(c, false));
   }
 }
 
 TEST(BatchedPhyEquivalence, BitIdenticalUnderPerSlotMacReferenceToo) {
-  // Cross the two contention escape hatches: the per-slot reference MAC
-  // polls medium_busy()/idle_for() far more aggressively than the
-  // batched countdown, so run the phy A/B under it to pin the facade
-  // queries at every slot edge.
-  harness::ScenarioConfig c = short_scenario();
-  c.duration = sim::SimTime::seconds(25.0);
-  c.workload.end = sim::SimTime::seconds(20.0);
+  // Cross the phy engines with the per-slot reference MAC: it polls
+  // medium_busy()/idle_for() far more aggressively than the batched
+  // countdown, so run the phy A/B under it to pin the facade queries at
+  // every slot edge.
+  harness::ScenarioConfig c = shorter_scenario();
   c.with_seed(7);
-
-  setenv("AG_BATCHED_BACKOFF", "off", 1);
-  EXPECT_FALSE(mac::batched_backoff_enabled());
-  const stats::RunResult batched = run_with_mode(c, true);
-  const stats::RunResult reference = run_with_mode(c, false);
-  unsetenv("AG_BATCHED_BACKOFF");
-  expect_identical_runs(batched, reference);
-}
-
-TEST(BatchedPhyEquivalence, BitIdenticalOnReferenceTableBackendToo) {
-  // And the data-plane hatch: four-way equivalence with AG_DENSE_TABLES,
-  // pinned pairwise here and by the dense suite.
-  harness::ScenarioConfig c = short_scenario();
-  c.duration = sim::SimTime::seconds(25.0);
-  c.workload.end = sim::SimTime::seconds(20.0);
-  c.with_seed(11);
-
-  setenv("AG_DENSE_TABLES", "off", 1);
-  EXPECT_FALSE(net::dense_tables_enabled());
-  const stats::RunResult batched = run_with_mode(c, true);
-  const stats::RunResult reference = run_with_mode(c, false);
-  unsetenv("AG_DENSE_TABLES");
-  expect_identical_runs(batched, reference);
+  c.mac.batched_backoff = false;
+  expect_identical_runs(run_with_mode(c, true), run_with_mode(c, false));
 }
 
 // ---------------------------------------------------------------------------
@@ -248,13 +177,6 @@ struct TraceRun {
 };
 
 TraceRun run_trace(bool batched) {
-  if (batched) {
-    unsetenv("AG_BATCHED_PHY");
-  } else {
-    setenv("AG_BATCHED_PHY", "off", 1);
-  }
-  EXPECT_EQ(batched_phy_enabled(), batched);
-
   // Two dense cells 600 m apart: every node hears its whole cell and
   // nothing across — delivery groups of up to 11 receivers, overlapping
   // storms within a cell, and concurrent independent traffic per cell.
@@ -271,7 +193,7 @@ TraceRun run_trace(bool batched) {
 
   sim::Simulator sim;
   mobility::StaticMobility mobility{std::move(positions)};
-  Channel channel{sim, mobility, PhyParams{100.0, 2e6, 192.0, 3e8}};
+  Channel channel{sim, mobility, PhyParams{100.0, 2e6, 192.0, 3e8, true, batched}};
   std::vector<std::unique_ptr<Radio>> radios;
   std::vector<std::unique_ptr<TracingListener>> listeners;
   for (std::size_t i = 0; i < n; ++i) {
@@ -281,7 +203,7 @@ TraceRun run_trace(bool batched) {
     radios.back()->set_listener(listeners.back().get());
   }
 
-  // Deterministic LCG (same constants as glibc) so both modes see the
+  // Deterministic LCG (same constants as glibc) so both engines see the
   // byte-identical schedule; a node already mid-transmission skips its
   // slot — that decision reads engine state, so a divergence would
   // cascade into the traces and fail the comparison below.
@@ -313,7 +235,6 @@ TraceRun run_trace(bool batched) {
   out.deliveries = channel.deliveries();
   out.rx_elided = channel.rx_elided();
   out.rx_coalesced = channel.rx_coalesced();
-  unsetenv("AG_BATCHED_PHY");
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Unit coverage for the shared AG_* knob parsers (sim/env.h): every
+// Unit coverage for the AG_* knob parser (sim/env.h): every
 // degraded input class — unset, empty, whitespace, zero, negative,
 // non-numeric, trailing garbage, overflow — must fall back instead of
 // silently changing the run.
@@ -27,30 +27,6 @@ class EnvVar {
 };
 
 constexpr char kVar[] = "AG_ENV_TEST_KNOB";
-
-TEST(EnvFlagOff, UnsetMeansFeatureStaysOn) {
-  EnvVar v{kVar};
-  EXPECT_FALSE(env_flag_off(kVar));
-}
-
-TEST(EnvFlagOff, RecognizedOffSpellings) {
-  EnvVar v{kVar};
-  for (const char* s : {"off", "0", "false"}) {
-    v.set(s);
-    EXPECT_TRUE(env_flag_off(kVar)) << "value \"" << s << "\"";
-  }
-}
-
-TEST(EnvFlagOff, AnythingElseMeansOn) {
-  EnvVar v{kVar};
-  // Only the exact lowercase spellings disable; everything else —
-  // including empty, whitespace, and shouty variants — leaves the
-  // feature on.
-  for (const char* s : {"", " ", "OFF", "Off", "no", "1", "on", "true", "0 "}) {
-    v.set(s);
-    EXPECT_FALSE(env_flag_off(kVar)) << "value \"" << s << "\"";
-  }
-}
 
 TEST(EnvPositiveU32, UnsetReturnsFallback) {
   EnvVar v{kVar};
