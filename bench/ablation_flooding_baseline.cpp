@@ -9,34 +9,41 @@
 
 int main(int argc, char** argv) {
   using namespace ag;
-  const std::uint32_t seeds = harness::seeds_from_env(2);
-  const std::vector<harness::Protocol> protocols = bench::protocols_from_cli(
-      argc, argv, {harness::Protocol::maodv, harness::Protocol::maodv_gossip,
-                   harness::Protocol::flooding});
+  bench::handle_help_flag(
+      argc, argv,
+      "Ablation (section 6): MAODV vs MAODV+AG vs blind flooding at 55 m,\n"
+      "0.2 m/s, with transmissions per delivered packet.",
+      "  range_m = {55} (one point; the protocols are the comparison)");
+  const harness::ExperimentResult result =
+      harness::Experiment::sweep("range(m)", {55.0},
+                                 [](harness::ScenarioConfig& c, double x) {
+                                   c.with_range(x).with_max_speed(0.2);
+                                 })
+          .protocols(bench::protocols_from_cli(
+              argc, argv, {harness::Protocol::maodv, harness::Protocol::maodv_gossip,
+                           harness::Protocol::flooding}))
+          .seeds(harness::seeds_from_env(2))
+          .parallel()
+          .name("ablation_flooding_baseline")
+          .run();
+  const int status = bench::finish_figure(
+      result, "Ablation: protocol cost comparison (range 55 m, 0.2 m/s)", "range(m)");
 
-  std::printf("== Ablation: protocol cost comparison (range 55 m, 0.2 m/s) ==\n");
-  std::printf("%-14s | %10s %6s %6s | %12s | %s\n", "protocol", "avg", "min", "max",
-              "tx/run", "tx per delivered pkt");
-
-  for (harness::Protocol protocol : protocols) {
-    harness::ScenarioConfig c = bench::paper_base();
-    c.with_range(55.0).with_max_speed(0.2);
-    c.with_protocol(protocol);
-    harness::SeriesPoint pt = harness::run_point(c, seeds, 0.0);
+  std::printf("%-14s | %s\n", "protocol", "tx per delivered pkt");
+  for (const harness::FigureSeries& series : result.series) {
+    const harness::SeriesPoint& pt = series.points.front();
     double delivered_total = 0.0;
-    for (const auto& run : pt.runs) {
-      for (const auto& m : run.members) delivered_total += static_cast<double>(m.received);
+    for (const stats::RunResult& run : pt.runs) {
+      for (const stats::MemberResult& m : run.members) {
+        delivered_total += static_cast<double>(m.received);
+      }
     }
     delivered_total /= static_cast<double>(pt.runs.size());
     const double cost = delivered_total > 0
                             ? static_cast<double>(pt.mean_transmissions) / delivered_total
                             : 0.0;
-    std::printf("%-14s | %10.1f %6.0f %6.0f | %12llu | %.2f\n",
-                harness::ProtocolRegistry::instance().name_of(protocol).c_str(),
-                pt.received.mean, pt.received.min, pt.received.max,
-                static_cast<unsigned long long>(pt.mean_transmissions), cost);
-    std::fflush(stdout);
+    std::printf("%-14s | %.2f\n", series.name.c_str(), cost);
   }
   std::printf("\n");
-  return 0;
+  return status;
 }

@@ -1,44 +1,21 @@
 // Ablation: gossip rate (paper section 5.5 — "the gossip rate should be
 // tuned so that the network does not get congested and the goodput is
-// nearly 100 percent"). Sweeps the round interval from 4 s to 250 ms on
-// the ExperimentBuilder (seeds in parallel, JSON emitted).
-#include <cstdio>
-
+// nearly 100 percent"). Sweeps the round interval from 4 s to 250 ms.
 #include "figure_common.h"
 
 int main(int argc, char** argv) {
   using namespace ag;
-  const std::uint32_t seeds = harness::seeds_from_env(2);
-
-  harness::ScenarioConfig base = bench::paper_base();
-  base.with_range(55.0).with_max_speed(0.2);
-
-  harness::ExperimentResult result =
-      harness::Experiment::sweep("gossip_interval_ms", {4000, 2000, 1000, 500, 250})
-          .base(base)
-          .protocols(bench::protocols_from_cli(argc, argv,
-                                               {harness::Protocol::maodv_gossip}))
-          .seeds(seeds)
-          .parallel()
-          .name("ablation_gossip_rate")
-          .run();
-
-  std::printf("== Ablation: gossip round interval ==\n");
-  std::printf("%-14s %-12s | %10s %6s %6s | %9s | %s\n", "protocol", "interval(ms)",
-              "avg", "min", "max", "goodput%", "tx/run");
-  for (const harness::FigureSeries& series : result.series) {
-    for (const harness::SeriesPoint& pt : series.points) {
-      std::printf("%-14s %-12g | %10.1f %6.0f %6.0f | %9.2f | %llu\n",
-                  series.name.c_str(), pt.x, pt.received.mean, pt.received.min,
-                  pt.received.max, pt.mean_goodput_pct,
-                  static_cast<unsigned long long>(pt.mean_transmissions));
-    }
-  }
-  if (result.write_json("BENCH_ablation_gossip_rate.json")) {
-    std::printf("(json written to BENCH_ablation_gossip_rate.json; %u seeds)\n",
-                seeds);
-  } else {
-    std::fprintf(stderr, "error: failed to write BENCH_ablation_gossip_rate.json\n");
-  }
-  return 0;
+  bench::handle_help_flag(
+      argc, argv,
+      "Ablation (section 5.5): gossip round interval vs delivery and goodput\n"
+      "at 55 m, 0.2 m/s.",
+      "  gossip_interval_ms = {4000, 2000, 1000, 500, 250}");
+  return bench::run_figure(
+      argc, argv, "Ablation: gossip round interval", "gossip_interval_ms", "ablation_gossip_rate",
+      {4000, 2000, 1000, 500, 250},
+      [](harness::ScenarioConfig& c, double x) {
+        c.with_range(55.0).with_max_speed(0.2);
+        c.gossip.round_interval = sim::Duration::ms(static_cast<std::int64_t>(x));
+      },
+      /*default_seeds=*/2, {harness::Protocol::maodv_gossip});
 }

@@ -9,13 +9,11 @@ int main(int argc, char** argv) {
       argc, argv,
       "Paper figure 3: delivery ratio vs transmission range at 2 m/s max speed.",
       "  range_m = {45..85} (transmission range, meters)");
-  const std::uint32_t seeds = harness::seeds_from_env(3);
-  return bench::run_two_series_figure(
-      "Figure 3: Packet Delivery vs Transmission Range (speed 2 m/s)",
-      "range(m)", "fig3.csv", {45, 50, 55, 60, 65, 70, 75, 80, 85},
+  return bench::run_figure(
+      argc, argv, "Figure 3: Packet Delivery vs Transmission Range (speed 2 m/s)",
+      "range(m)", "fig3", {45, 50, 55, 60, 65, 70, 75, 80, 85},
       [](harness::ScenarioConfig& c, double x) {
         c.with_range(x).with_max_speed(2.0);
       },
-      seeds, bench::paper_base(),
-      bench::protocols_from_cli(argc, argv, bench::headline_protocols()));
+      /*default_seeds=*/3);
 }

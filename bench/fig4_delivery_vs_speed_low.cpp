@@ -9,13 +9,11 @@ int main(int argc, char** argv) {
       argc, argv,
       "Paper figure 4: delivery ratio vs maximum node speed (0.1-1 m/s).",
       "  max_speed_mps = {0.1..1.0}");
-  const std::uint32_t seeds = harness::seeds_from_env(3);
-  return bench::run_two_series_figure(
-      "Figure 4: Packet Delivery vs Maximum Speed (low range: 0.1-1 m/s)",
-      "speed(m/s)", "fig4.csv", {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
+  return bench::run_figure(
+      argc, argv, "Figure 4: Packet Delivery vs Maximum Speed (low range: 0.1-1 m/s)",
+      "speed(m/s)", "fig4", {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
       [](harness::ScenarioConfig& c, double x) {
         c.with_range(75.0).with_max_speed(x);
       },
-      seeds, bench::paper_base(),
-      bench::protocols_from_cli(argc, argv, bench::headline_protocols()));
+      /*default_seeds=*/3);
 }

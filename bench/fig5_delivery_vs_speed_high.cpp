@@ -9,13 +9,11 @@ int main(int argc, char** argv) {
       argc, argv,
       "Paper figure 5: delivery ratio vs maximum node speed (1-10 m/s).",
       "  max_speed_mps = {1..10}");
-  const std::uint32_t seeds = harness::seeds_from_env(3);
-  return bench::run_two_series_figure(
-      "Figure 5: Packet Delivery vs Maximum Speed (high range: 1-10 m/s)",
-      "speed(m/s)", "fig5.csv", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+  return bench::run_figure(
+      argc, argv, "Figure 5: Packet Delivery vs Maximum Speed (high range: 1-10 m/s)",
+      "speed(m/s)", "fig5", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
       [](harness::ScenarioConfig& c, double x) {
         c.with_range(75.0).with_max_speed(x);
       },
-      seeds, bench::paper_base(),
-      bench::protocols_from_cli(argc, argv, bench::headline_protocols()));
+      /*default_seeds=*/3);
 }

@@ -14,14 +14,12 @@ int main(int argc, char** argv) {
       argc, argv,
       "Paper figure 6: delivery ratio vs node count at constant mean degree\n(range shrinks as nodes grow).",
       "  node_count = {40..100} (range scaled to hold mean degree)");
-  const std::uint32_t seeds = harness::seeds_from_env(2);
-  return bench::run_two_series_figure(
-      "Figure 6: Packet Delivery vs Number of Nodes (constant mean degree)",
-      "#nodes", "fig6.csv", {40, 50, 60, 70, 80, 90, 100},
+  return bench::run_figure(
+      argc, argv, "Figure 6: Packet Delivery vs Number of Nodes (constant mean degree)",
+      "#nodes", "fig6", {40, 50, 60, 70, 80, 90, 100},
       [](harness::ScenarioConfig& c, double x) {
         const double range = 75.0 * std::sqrt(40.0 / x);
         c.with_nodes(static_cast<std::size_t>(x)).with_range(range).with_max_speed(0.2);
       },
-      seeds, bench::paper_base(),
-      bench::protocols_from_cli(argc, argv, bench::headline_protocols()));
+      /*default_seeds=*/2);
 }

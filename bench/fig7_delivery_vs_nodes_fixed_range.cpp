@@ -10,13 +10,11 @@ int main(int argc, char** argv) {
       argc, argv,
       "Paper figure 7: delivery ratio vs node count at a fixed 55 m range.",
       "  node_count = {40..100}");
-  const std::uint32_t seeds = harness::seeds_from_env(2);
-  return bench::run_two_series_figure(
-      "Figure 7: Packet Delivery vs Number of Nodes (fixed 55 m range)",
-      "#nodes", "fig7.csv", {40, 50, 60, 70, 80, 90, 100},
+  return bench::run_figure(
+      argc, argv, "Figure 7: Packet Delivery vs Number of Nodes (fixed 55 m range)",
+      "#nodes", "fig7", {40, 50, 60, 70, 80, 90, 100},
       [](harness::ScenarioConfig& c, double x) {
         c.with_nodes(static_cast<std::size_t>(x)).with_range(55.0).with_max_speed(0.2);
       },
-      seeds, bench::paper_base(),
-      bench::protocols_from_cli(argc, argv, bench::headline_protocols()));
+      /*default_seeds=*/2);
 }

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // Range 42 puts the flood coverage-dominated: every absorbed relay is a
   // real coverage hole, so degradation is monotone in the adversary
   // fraction and the isolation layer's recovery is visible, not masked.
-  harness::ScenarioConfig base = bench::paper_base();
+  harness::ScenarioConfig base;
   base.with_range(42.0).with_max_speed(1.0);
   if (smoke) {
     base.duration = sim::SimTime::seconds(120.0);
@@ -85,7 +85,11 @@ int main(int argc, char** argv) {
 
   std::printf("== Adversary axis x trust isolation ==\n");
 
-  std::vector<bench::GridCell> cells;
+  bench::Grid grid{"adversary", "adversary_fraction",
+                   [](harness::ScenarioConfig& c, double x) {
+                     c.faults.spec.adversary_fraction = x;
+                   },
+                   seeds, protocols};
   for (const Mode& mode : modes) {
     for (const bool isolation : {false, true}) {
       for (const double fraction : fractions) {
@@ -114,14 +118,12 @@ int main(int argc, char** argv) {
                       mode.name, isolation ? "on" : "off", fraction);
         std::printf("-- %s --\n", label);
         std::fflush(stdout);
-        bench::TimedResult run = bench::timed_run(
-            harness::Experiment::sweep("adversary_fraction", {fraction})
-                .base(cell_base)
-                .protocols(protocols)
-                .seeds(seeds)
-                .parallel()
-                .name("adversary"));
-        for (const harness::FigureSeries& s : run.result.series) {
+        std::ostringstream fields;
+        fields << ", \"mode\": \"" << mode.name << "\""
+               << ", \"isolation\": " << (isolation ? "true" : "false")
+               << ", \"adversary_fraction\": " << fraction;
+        for (const harness::FigureSeries& s :
+             grid.run(label, fields.str(), cell_base, fraction).series) {
           const harness::SeriesPoint& p = s.points.front();
           std::printf("  %-16s delivery=%.3f adversaries=%llu absorbed=%llu "
                       "poisoned=%llu isolated=%.1f fp=%.1f latency=%.1fs\n",
@@ -133,17 +135,11 @@ int main(int argc, char** argv) {
                       p.mean_detection_latency_s);
         }
         std::fflush(stdout);
-        std::ostringstream fields;
-        fields << ", \"mode\": \"" << mode.name << "\""
-               << ", \"isolation\": " << (isolation ? "true" : "false")
-               << ", \"adversary_fraction\": " << fraction;
-        cells.push_back({label, fields.str(), cell_base.node_count, std::move(run)});
       }
     }
   }
 
-  if (!bench::write_grid_json("BENCH_adversary.json", "adversary", "adversary_fraction",
-                              seeds, "", cells, harness::Sink::adversary)) {
+  if (!grid.write_json("BENCH_adversary.json", "", harness::Sink::adversary)) {
     std::fprintf(stderr, "error: failed to write BENCH_adversary.json\n");
     return 1;
   }

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   // The fault background every churn point shares: 15 % of nodes crash
   // (wipe policy) and a mid-run partition cuts the area in half.
-  harness::ScenarioConfig base = bench::paper_base();
+  harness::ScenarioConfig base;
   base.with_range(65.0).with_max_speed(1.0);
   base.faults.spec.crash_fraction = 0.15;
   base.faults.spec.crash_downtime_s = smoke ? 20.0 : 60.0;
@@ -44,7 +44,10 @@ int main(int argc, char** argv) {
       argc, argv, harness::ProtocolRegistry::instance().all());
 
   harness::ExperimentBuilder builder =
-      harness::Experiment::sweep("churn_per_min", churn)
+      harness::Experiment::sweep("churn_per_min", churn,
+                                 [](harness::ScenarioConfig& c, double x) {
+                                   c.faults.spec.churn_per_min = x;
+                                 })
           .base(base)
           .protocols(protocols)
           .seeds(seeds)
@@ -54,6 +57,6 @@ int main(int argc, char** argv) {
             std::printf("  [churn %zu/%zu runs]\n", done, total);
             std::fflush(stdout);
           });
-  return bench::finish_figure(builder, "Delivery under churn + crashes + partition",
-                              "churn/min", "churn.csv", "BENCH_churn.json", seeds);
+  return bench::finish_figure(builder.run(), "Delivery under churn + crashes + partition",
+                              "churn/min");
 }

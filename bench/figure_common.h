@@ -1,8 +1,8 @@
-// Shared plumbing for the per-figure reproduction benches: the paper's
-// base configuration (section 5.1) and the sweep helper producing the
-// Gossip-vs-MAODV series every figure plots, built on the fluent
-// ExperimentBuilder (seeds run in parallel; results land as a table, a
-// CSV, and a machine-readable BENCH_<fig>.json).
+// Shared plumbing for the figure and ablation benches: CLI flags, the
+// single-axis sweep helper (run_figure) and the grid of single-value
+// sweeps (Grid), all built on the fluent ExperimentBuilder (seeds run in
+// parallel; results land as a table, a CSV, and a machine-readable
+// BENCH_<name>.json).
 #ifndef AG_BENCH_FIGURE_COMMON_H
 #define AG_BENCH_FIGURE_COMMON_H
 
@@ -12,8 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <functional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,14 +78,13 @@ inline void handle_help_flag(int argc, char** argv, const char* description,
   std::exit(0);
 }
 
-// Shared tail for every ExperimentBuilder bench: runs the sweep in-process,
-// prints the table, and writes the CSV + BENCH JSON atomically. Returns
-// the process exit code.
-inline int finish_figure(const harness::ExperimentBuilder& builder,
-                         const std::string& title, const std::string& x_label,
-                         const std::string& csv_name, const std::string& json_name,
-                         std::uint32_t seeds) {
-  const harness::ExperimentResult result = builder.run();
+// Shared tail for every single-axis bench: prints the sweep's table and
+// writes <name>.csv and BENCH_<name>.json atomically, `name` being the
+// experiment's. Returns the process exit code.
+inline int finish_figure(const harness::ExperimentResult& result, const std::string& title,
+                         const std::string& x_label) {
+  const std::string csv_name = result.name + ".csv";
+  const std::string json_name = "BENCH_" + result.name + ".json";
   result.print(title, x_label);
   const bool csv_ok = result.write_csv(csv_name);
   const bool json_ok = result.write_json(json_name);
@@ -96,7 +95,7 @@ inline int finish_figure(const harness::ExperimentBuilder& builder,
   }
   std::printf("(csv written to %s, json to %s; %u seeds — set AG_SEEDS to "
               "change)\n\n",
-              csv_name.c_str(), json_name.c_str(), seeds);
+              csv_name.c_str(), json_name.c_str(), result.seeds);
   return 0;
 }
 
@@ -140,9 +139,9 @@ inline void write_cell_series(std::ostream& out, const harness::ExperimentResult
   }
 }
 
-// One cell of a grid bench (figure_dtn, figure_adversary): a timed
-// single-value sweep over every protocol, plus the cell's own JSON
-// fields pre-rendered as `, "key": value` pairs.
+// One cell of a grid bench: a timed single-value sweep over every
+// protocol, plus the cell's own JSON fields pre-rendered as
+// `, "key": value` pairs.
 struct GridCell {
   std::string label;
   std::string fields;
@@ -150,73 +149,95 @@ struct GridCell {
   TimedResult run;
 };
 
-// Writes a grid bench's JSON: {"experiment", "param", "seeds",
-// <header_fields>, "points": [...]}, where each point carries its label,
-// node count and own fields, wall clock, executed sim_events and
-// events/sec, then one line per series with the `sink` fields.
-inline bool write_grid_json(const std::string& path, const char* experiment,
-                            const char* param, std::uint32_t seeds,
-                            const std::string& header_fields,
-                            const std::vector<GridCell>& cells, harness::Sink sink) {
-  harness::AtomicFile file{path};
-  if (!file.ok()) return false;
-  std::ostream& out = file.stream();
-  out << "{\n  \"experiment\": \"" << experiment << "\",\n  \"param\": \"" << param
-      << "\",\n  \"seeds\": " << seeds << ",\n" << header_fields << "  \"points\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const GridCell& cell = cells[i];
-    const std::uint64_t events = total_sim_events(cell.run.result);
-    const double wall_s = cell.run.wall_s;
-    out << "    {\"label\": \"" << cell.label << "\", \"nodes\": " << cell.nodes
-        << cell.fields << ", \"wall_clock_s\": " << wall_s << ", \"sim_events\": " << events
-        << ", \"events_per_sec\": "
-        << (wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0)
-        << ", \"series\": [\n";
-    write_cell_series(out, cell.run.result, sink);
-    out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
+// A grid bench (fig8_goodput, ablation_locality, figure_dtn,
+// figure_adversary): one cell per combination of its outer axes, each a
+// timed sweep of the single value `param` = x over every protocol.
+struct Grid {
+  std::string experiment;
+  std::string param;
+  harness::ExperimentBuilder::ApplyFn apply;
+  std::uint32_t seeds;
+  std::vector<harness::Protocol> protocols;
+  std::vector<GridCell> cells{};
+
+  // Runs `param` = x on `base` as the next cell; returns its result.
+  const harness::ExperimentResult& run(std::string label, std::string fields,
+                                       const harness::ScenarioConfig& base, double x) {
+    cells.push_back({std::move(label), std::move(fields), base.node_count,
+                     timed_run(harness::Experiment::sweep(param, {x}, apply)
+                                   .base(base)
+                                   .protocols(protocols)
+                                   .seeds(seeds)
+                                   .parallel()
+                                   .name(experiment))});
+    return cells.back().run.result;
   }
-  out << "  ]\n}\n";
-  return file.commit();
-}
 
-// Paper section 5.1 defaults: 200x200 m, 40 nodes, 1/3 members, 600 s,
-// 2201 packets from t=120 s, gossip 1 msg/s. Range/speed set per figure.
-inline harness::ScenarioConfig paper_base() {
-  harness::ScenarioConfig c;
-  return c;
-}
+  // Prints the last `n` cells, which differ only in x, as one figure
+  // table with a row per cell.
+  void print_last(std::size_t n, const std::string& title, const std::string& x_label) const {
+    const std::span<const GridCell> last = std::span(cells).last(n);
+    std::vector<harness::FigureSeries> series = last.front().run.result.series;
+    for (const GridCell& cell : last.subspan(1)) {
+      for (std::size_t s = 0; s < series.size(); ++s) {
+        series[s].points.push_back(cell.run.result.series[s].points.front());
+      }
+    }
+    harness::print_figure(title, x_label, series);
+  }
 
-// Strips a trailing extension: "fig2.csv" -> "fig2".
-inline std::string stem_of(const std::string& file_name) {
-  const std::size_t dot = file_name.rfind('.');
-  return dot == std::string::npos ? file_name : file_name.substr(0, dot);
-}
+  // Writes {"experiment", "param", "seeds", <header_fields>, "points":
+  // [...]}, where each point carries its label, node count and own
+  // fields, wall clock, executed sim_events and events/sec, then one line
+  // per series with the `sink` fields.
+  [[nodiscard]] bool write_json(const std::string& path, const std::string& header_fields,
+                                harness::Sink sink) const {
+    harness::AtomicFile file{path};
+    if (!file.ok()) return false;
+    std::ostream& out = file.stream();
+    out << "{\n  \"experiment\": \"" << experiment << "\",\n  \"param\": \"" << param
+        << "\",\n  \"seeds\": " << seeds << ",\n" << header_fields << "  \"points\": [\n";
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const GridCell& cell = cells[i];
+      const std::uint64_t events = total_sim_events(cell.run.result);
+      const double wall_s = cell.run.wall_s;
+      out << "    {\"label\": \"" << cell.label << "\", \"nodes\": " << cell.nodes
+          << cell.fields << ", \"wall_clock_s\": " << wall_s
+          << ", \"sim_events\": " << events << ", \"events_per_sec\": "
+          << (wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0)
+          << ", \"series\": [\n";
+      write_cell_series(out, cell.run.result, sink);
+      out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
+    }
+    out << "  ]\n}\n";
+    return file.commit();
+  }
+};
 
-// Runs one x-sweep over `protocols` (default: the headline pair; benches
-// pass protocols_from_cli so `--protocols=` selects any registered set)
-// and emits the figure as a table, a CSV, and BENCH_<stem>.json. `apply`
-// mutates the config for a given x value; the return value is the process
-// exit code.
-inline int run_two_series_figure(
-    const std::string& title, const std::string& x_label,
-    const std::string& csv_name, const std::vector<double>& xs,
-    const std::function<void(harness::ScenarioConfig&, double)>& apply,
-    std::uint32_t seeds, harness::ScenarioConfig base = paper_base(),
-    std::vector<harness::Protocol> protocols = headline_protocols()) {
-  const std::string stem = stem_of(csv_name);
-  const std::string json_name = "BENCH_" + stem + ".json";
+// Runs one x-sweep and emits the figure as a table, <name>.csv and
+// BENCH_<name>.json. `apply` sets x on the paper's section 5.1
+// environment (ScenarioConfig's defaults). Seeds per point default to
+// `default_seeds` (AG_SEEDS overrides) and protocols to
+// `default_protocols` (`--protocols=` overrides). The return value is
+// the process exit code.
+inline int run_figure(int argc, char** argv, const std::string& title,
+                      const std::string& x_label, const std::string& name,
+                      const std::vector<double>& xs,
+                      const harness::ExperimentBuilder::ApplyFn& apply,
+                      std::uint32_t default_seeds,
+                      std::vector<harness::Protocol> default_protocols = headline_protocols()) {
+  const std::uint32_t seeds = harness::seeds_from_env(default_seeds);
   harness::ExperimentBuilder builder =
       harness::Experiment::sweep(x_label, xs, apply)
-          .base(base)
-          .protocols(std::move(protocols))
+          .protocols(protocols_from_cli(argc, argv, std::move(default_protocols)))
           .seeds(seeds)
           .parallel()
-          .name(stem)
+          .name(name)
           .on_progress([&title](std::size_t done, std::size_t total) {
             std::printf("  [%s %zu/%zu runs]\n", title.c_str(), done, total);
             std::fflush(stdout);
           });
-  return finish_figure(builder, title, x_label, csv_name, json_name, seeds);
+  return finish_figure(builder.run(), title, x_label);
 }
 
 }  // namespace ag::bench

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   // Fault background shared by every cell (the figure_churn recipe):
   // 15 % of nodes crash with state wipe and a mid-run partition cuts the
   // area in half — exactly the regimes custody is supposed to bridge.
-  harness::ScenarioConfig base = bench::paper_base();
+  harness::ScenarioConfig base;
   base.with_range(65.0).with_max_speed(1.0);
   base.faults.spec.crash_fraction = 0.15;
   base.faults.spec.crash_downtime_s = smoke || mega ? 20.0 : 60.0;
@@ -84,8 +84,14 @@ int main(int argc, char** argv) {
               kSessionsPerNode, mega ? ", --mega: 2M users total" : "");
 
   // Each (duty, churn, budget) cell is timed like scale_smoke, so
-  // BENCH_dtn.json doubles as a perf record for the custody tier.
-  std::vector<bench::GridCell> cells;
+  // BENCH_dtn.json doubles as a perf record for the custody tier. A zero
+  // budget is the custody-off baseline.
+  bench::Grid grid{"dtn", "custody_max_msgs",
+                   [](harness::ScenarioConfig& c, double x) {
+                     c.custody.enabled = x > 0.0;
+                     c.custody.max_messages = static_cast<std::uint32_t>(x);
+                   },
+                   seeds, protocols};
   for (const double duty : duties) {
     for (const double churn : churns) {
       for (const double budget : budgets) {
@@ -97,14 +103,11 @@ int main(int argc, char** argv) {
                       duty, churn, budget);
         std::printf("-- %s --\n", label);
         std::fflush(stdout);
-        bench::TimedResult run = bench::timed_run(
-            harness::Experiment::sweep("custody_max_msgs", {budget})
-                .base(cell_base)
-                .protocols(protocols)
-                .seeds(seeds)
-                .parallel()
-                .name("dtn"));
-        for (const harness::FigureSeries& s : run.result.series) {
+        std::ostringstream fields;
+        fields << ", \"duty\": " << duty << ", \"churn_per_min\": " << churn
+               << ", \"custody_max_msgs\": " << budget;
+        for (const harness::FigureSeries& s :
+             grid.run(label, fields.str(), cell_base, budget).series) {
           const harness::SeriesPoint& p = s.points.front();
           std::printf("  %-16s delivery=%.2f users=%llu/%llu (%.2f) "
                       "custody stored=%llu offered=%llu accepted=%llu\n",
@@ -117,18 +120,13 @@ int main(int argc, char** argv) {
                       static_cast<unsigned long long>(p.mean_custody_accepted));
         }
         std::fflush(stdout);
-        std::ostringstream fields;
-        fields << ", \"duty\": " << duty << ", \"churn_per_min\": " << churn
-               << ", \"custody_max_msgs\": " << budget;
-        cells.push_back({label, fields.str(), cell_base.node_count, std::move(run)});
       }
     }
   }
 
   const std::string header =
       "  \"sessions_per_node\": " + std::to_string(kSessionsPerNode) + ",\n";
-  if (!bench::write_grid_json("BENCH_dtn.json", "dtn", "custody_max_msgs", seeds, header,
-                              cells, harness::Sink::dtn)) {
+  if (!grid.write_json("BENCH_dtn.json", header, harness::Sink::dtn)) {
     std::fprintf(stderr, "error: failed to write BENCH_dtn.json\n");
     return 1;
   }

@@ -187,8 +187,6 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> node_counts =
       nodes_from_cli(argc, argv, {40, 120, 250, 500, 1000, 2000});
 
-  const harness::ScenarioConfig base = bench::paper_base();
-
   std::printf("== Scaling smoke (constant mean degree, short run) ==\n");
   std::printf("%-8s %-7s %-10s %-12s %-12s per-protocol received avg (delivery)\n",
               "#nodes", "sim(s)", "wall(s)", "sim events", "events/s");
@@ -199,7 +197,7 @@ int main(int argc, char** argv) {
     // (see the header comment). Workload occupies the middle half.
     const double duration_s =
         std::min(kFullDurationS, kMaxNodeSeconds / static_cast<double>(n));
-    harness::ScenarioConfig point_base = base;
+    harness::ScenarioConfig point_base;
     point_base.duration = sim::SimTime::seconds(duration_s);
     point_base.workload.start = sim::SimTime::seconds(0.25 * duration_s);
     point_base.workload.end = sim::SimTime::seconds(0.75 * duration_s);

@@ -25,11 +25,9 @@ AodvRouter::AodvRouter(sim::Simulator& sim, mac::CsmaMac& mac, net::NodeId self,
 }
 
 void AodvRouter::start() {
-  if (params_.hello_enabled) {
-    // Jitter desynchronizes beacons across nodes.
-    hello_timer_.start(params_.hello_interval, &rng_, params_.hello_interval / 4);
-    sweep_timer_.start(params_.hello_interval, &rng_, params_.hello_interval / 8);
-  }
+  // Jitter desynchronizes beacons across nodes.
+  hello_timer_.start(params_.hello_interval, &rng_, params_.hello_interval / 4);
+  sweep_timer_.start(params_.hello_interval, &rng_, params_.hello_interval / 8);
 }
 
 void AodvRouter::reset_unicast_state() {

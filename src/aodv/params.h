@@ -14,7 +14,6 @@ namespace ag::aodv {
 struct AodvParams {
   sim::Duration active_route_timeout{sim::Duration::ms(3000)};
   sim::Duration reverse_route_life{sim::Duration::ms(3000)};
-  bool hello_enabled{true};
   sim::Duration hello_interval{sim::Duration::ms(600)};
   std::uint32_t allowed_hello_loss{4};
   std::uint32_t rreq_retries{2};

@@ -167,7 +167,7 @@ net::NodeId GossipAgent::choose_hop(net::GroupId group, net::NodeId exclude) {
   std::vector<net::NodeId> hops = adapter_.tree_neighbors(group);
   std::erase(hops, exclude);
   if (hops.empty()) return net::NodeId::invalid();
-  if (!params_.locality_bias || params_.locality_alpha == 0.0) {
+  if (params_.locality_alpha == 0.0) {
     return hops[static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(hops.size()) - 1))];
   }

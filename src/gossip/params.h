@@ -50,7 +50,6 @@ struct GossipParams {
   // Locality bias (section 4.2): next hop chosen with weight
   // 1 / nearest_member^alpha. alpha = 0 disables the bias (ablation).
   double locality_alpha{2.0};
-  bool locality_bias{true};
   // Nearest-member soft-state refresh, in gossip rounds (edge activation
   // is not atomic, so a MODIFY can be lost; refresh repairs the gradient).
   std::uint32_t nm_refresh_rounds{5};

@@ -57,15 +57,6 @@ void write_point_fields(std::ostream& out, const SeriesPoint& p, Sink sink) {
 #undef AG_WRITE_FIELD
 }
 
-SeriesPoint run_point(ScenarioConfig config, std::uint32_t seeds, double x) {
-  std::vector<stats::RunResult> runs;
-  runs.reserve(seeds);
-  for (std::uint32_t s = 1; s <= seeds; ++s) {
-    runs.push_back(run_scenario(config.with_seed(s)));
-  }
-  return aggregate_point(x, std::move(runs));
-}
-
 std::uint32_t seeds_from_env(std::uint32_t fallback) {
   // All AG_* knob reads live in sim/env.h (ag-lint rule `env`).
   return sim::env_positive_u32("AG_SEEDS", fallback, 1'000'000);

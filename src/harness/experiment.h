@@ -1,26 +1,25 @@
-// Multi-seed experiment driver: runs one configuration across seeds and
-// aggregates per-member delivery exactly the way the paper's figures do
-// (average line + min/max error bars over the full set of receivers).
+// Per-point aggregation for the experiment driver: folds one
+// configuration's seeds into per-member delivery exactly the way the
+// paper's figures do (average line + min/max error bars over the full
+// set of receivers), plus every declared per-point metric.
 #ifndef AG_HARNESS_EXPERIMENT_H
 #define AG_HARNESS_EXPERIMENT_H
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <iosfwd>
 #include <utility>
 #include <vector>
 
-#include "harness/network.h"
-#include "harness/scenario.h"
 #include "stats/run_result.h"
 #include "stats/summary.h"
 
 namespace ag::harness {
 
 // The JSON outputs a per-point metric can be written to: the figure
-// benches' ExperimentResult::write_json and the three bench-specific
-// writers (scale_smoke, figure_dtn, figure_adversary).
+// sink (ExperimentResult::write_json, and the fig8_goodput and
+// ablation_locality grids) and the three bench-specific writers
+// (scale_smoke, figure_dtn, figure_adversary).
 enum class Sink : unsigned { figure = 1, scale = 2, dtn = 4, adversary = 8 };
 
 [[nodiscard]] constexpr unsigned operator|(unsigned a, Sink b) {
@@ -142,9 +141,8 @@ struct SeriesPoint {
   std::vector<stats::RunResult> runs;   // raw results (one per seed)
 };
 
-// Folds per-seed results (in seed order) into one point. Shared by the
-// serial run_point and the parallel ExperimentBuilder so both produce
-// bit-identical aggregates for the same seeds.
+// Folds per-seed results (in seed order) into one point; the
+// ExperimentBuilder calls it once per (protocol, sweep value).
 [[nodiscard]] SeriesPoint aggregate_point(double x, std::vector<stats::RunResult> runs);
 
 // Writes the point's fields for `sink` as `, "key": value` pairs: the
@@ -153,9 +151,6 @@ struct SeriesPoint {
 // the sink, in table order. Only the figure sink applies the row gates.
 // Numbers use the stream's current precision.
 void write_point_fields(std::ostream& out, const SeriesPoint& p, Sink sink);
-
-// Runs `config` with seeds 1..seeds and aggregates.
-[[nodiscard]] SeriesPoint run_point(ScenarioConfig config, std::uint32_t seeds, double x);
 
 // Number of seeds per point: AG_SEEDS env var, else `fallback`. Zero,
 // negative, or non-numeric AG_SEEDS values are rejected with a warning on

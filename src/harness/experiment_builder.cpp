@@ -4,71 +4,16 @@
 #include <cstdio>
 #include <iomanip>
 #include <iterator>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "harness/atomic_io.h"
+#include "harness/network.h"
 #include "harness/protocol_registry.h"
 
 namespace ag::harness {
 
 namespace {
-
-ExperimentBuilder::ApplyFn named_knob(const std::string& param) {
-  if (param == "range_m") {
-    return [](ScenarioConfig& c, double x) { c.with_range(x); };
-  }
-  if (param == "max_speed_mps") {
-    return [](ScenarioConfig& c, double x) { c.with_max_speed(x); };
-  }
-  if (param == "node_count") {
-    return [](ScenarioConfig& c, double x) {
-      c.with_nodes(static_cast<std::size_t>(x));
-    };
-  }
-  if (param == "member_fraction") {
-    return [](ScenarioConfig& c, double x) { c.member_fraction = x; };
-  }
-  if (param == "gossip_interval_ms") {
-    return [](ScenarioConfig& c, double x) {
-      c.gossip.round_interval = sim::Duration::ms(static_cast<std::int64_t>(x));
-    };
-  }
-  // Fault axes (see faults::FaultSpec): membership churn rate, crashed
-  // node fraction, and partition episode length.
-  if (param == "churn_per_min") {
-    return [](ScenarioConfig& c, double x) { c.faults.spec.churn_per_min = x; };
-  }
-  if (param == "crash_fraction") {
-    return [](ScenarioConfig& c, double x) { c.faults.spec.crash_fraction = x; };
-  }
-  if (param == "partition_s") {
-    return [](ScenarioConfig& c, double x) { c.faults.spec.partition_duration_s = x; };
-  }
-  // DTN/session axes: custody store budget in messages (0 disables the
-  // custody tier entirely) and the user duty-cycle fraction.
-  if (param == "custody_max_msgs") {
-    return [](ScenarioConfig& c, double x) {
-      c.custody.enabled = x > 0.0;
-      c.custody.max_messages = static_cast<std::uint32_t>(x);
-    };
-  }
-  if (param == "session_duty") {
-    return [](ScenarioConfig& c, double x) { c.sessions.duty = x; };
-  }
-  // Adversary axis: fraction of nodes compromised (mode/trust come from
-  // the base config — with_adversaries / with_trust).
-  if (param == "adversary_fraction") {
-    return [](ScenarioConfig& c, double x) { c.faults.spec.adversary_fraction = x; };
-  }
-  throw std::invalid_argument(
-      "unknown sweep parameter \"" + param +
-      "\" (known: range_m, max_speed_mps, node_count, member_fraction, "
-      "gossip_interval_ms, churn_per_min, crash_fraction, partition_s, "
-      "custody_max_msgs, session_duty, adversary_fraction); use "
-      "Experiment::sweep(param, values, apply) for custom knobs");
-}
 
 std::string json_escaped(const std::string& s) {
   std::string out;
@@ -93,9 +38,6 @@ std::string json_escaped(const std::string& s) {
 }
 
 }  // namespace
-
-ExperimentBuilder::ExperimentBuilder(std::string param, std::vector<double> values)
-    : param_{std::move(param)}, values_{std::move(values)}, apply_{named_knob(param_)} {}
 
 ExperimentBuilder::ExperimentBuilder(std::string param, std::vector<double> values,
                                      ApplyFn apply)

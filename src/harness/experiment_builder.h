@@ -4,7 +4,8 @@
 // freely) — and emit the results as a table, CSV, or machine-readable
 // JSON (the BENCH_*.json files).
 //
-//   auto r = Experiment::sweep("range_m", {45, 55, 65, 75, 85})
+//   auto r = Experiment::sweep("range_m", {45, 55, 65, 75, 85},
+//                              [](ScenarioConfig& c, double x) { c.with_range(x); })
 //                .protocols({Protocol::maodv_gossip, Protocol::maodv})
 //                .seeds(10)
 //                .parallel()
@@ -46,12 +47,8 @@ class ExperimentBuilder {
  public:
   using ApplyFn = std::function<void(ScenarioConfig&, double)>;
 
-  // Sweep a named ScenarioConfig knob: "range_m", "max_speed_mps",
-  // "node_count", "member_fraction", "gossip_interval_ms", or a fault
-  // axis — "churn_per_min", "crash_fraction", "partition_s". Unknown
-  // names throw std::invalid_argument immediately.
-  ExperimentBuilder(std::string param, std::vector<double> values);
-  // Sweep an arbitrary knob: `apply(config, x)` mutates the config.
+  // Sweeps `values` of the knob named `param` (the name only labels the
+  // output): `apply(config, x)` sets it on each job's copy of the base.
   ExperimentBuilder(std::string param, std::vector<double> values, ApplyFn apply);
 
   ExperimentBuilder& base(ScenarioConfig config);
@@ -87,10 +84,6 @@ class ExperimentBuilder {
 // Entry point matching the fluent style: Experiment::sweep(...).run().
 class Experiment {
  public:
-  [[nodiscard]] static ExperimentBuilder sweep(std::string param,
-                                               std::vector<double> values) {
-    return ExperimentBuilder{std::move(param), std::move(values)};
-  }
   [[nodiscard]] static ExperimentBuilder sweep(std::string param,
                                                std::vector<double> values,
                                                ExperimentBuilder::ApplyFn apply) {

@@ -11,7 +11,7 @@ void print_figure(const std::string& title, const std::string& x_label,
   std::printf("== %s ==\n", title.c_str());
   std::printf("%-12s", x_label.c_str());
   for (const FigureSeries& s : series) {
-    std::printf(" | %s avg    min    max", s.name.c_str());
+    std::printf(" | %s avg    min    max  goodput%%    tx/run", s.name.c_str());
   }
   std::printf("\n");
   if (series.empty() || series.front().points.empty()) return;
@@ -20,8 +20,10 @@ void print_figure(const std::string& title, const std::string& x_label,
     std::printf("%-12g", series.front().points[i].x);
     for (const FigureSeries& s : series) {
       if (i < s.points.size()) {
-        const auto& p = s.points[i].received;
-        std::printf(" | %10.1f %6.0f %6.0f", p.mean, p.min, p.max);
+        const SeriesPoint& p = s.points[i];
+        std::printf(" | %10.1f %6.0f %6.0f %9.2f %9llu", p.received.mean, p.received.min,
+                    p.received.max, p.mean_goodput_pct,
+                    static_cast<unsigned long long>(p.mean_transmissions));
       }
     }
     std::printf("\n");

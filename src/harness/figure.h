@@ -19,7 +19,9 @@ struct FigureSeries {
 
 // Prints:
 //   == Figure N: <title> ==
-//   <x_label>  Gossip(avg min max)  Maodv(avg min max)
+//   <x_label> | Gossip avg min max goodput% tx/run | Maodv avg min max ...
+// where avg/min/max are received packets per member and tx/run is the
+// mean channel transmissions per seed.
 void print_figure(const std::string& title, const std::string& x_label,
                   const std::vector<FigureSeries>& series);
 

@@ -103,10 +103,10 @@ struct ScenarioConfig {
     node_count = n;
     return *this;
   }
+  // Sets no gossip flag: Network runs gossip only on the registry's
+  // gossip-capable protocols (ANDed with gossip.enabled, default on).
   ScenarioConfig& with_protocol(Protocol p) {
     protocol = p;
-    gossip.enabled = (p == Protocol::maodv_gossip || p == Protocol::odmrp_gossip ||
-                      p == Protocol::flooding_gossip);
     return *this;
   }
   ScenarioConfig& with_seed(std::uint64_t s) {

@@ -32,6 +32,8 @@ ScenarioConfig stress_base() {
   return c;
 }
 
+void set_range(ScenarioConfig& c, double x) { c.with_range(x); }
+
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   ASSERT_EQ(a.series.size(), b.series.size());
   for (std::size_t s = 0; s < a.series.size(); ++s) {
@@ -68,7 +70,7 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
 // inside run_scenario and slab churn inside each worker's PacketPool.
 TEST(BuilderParallelStress, ManyJobsManyThreadsMatchSerial) {
   auto build = [] {
-    return Experiment::sweep("range_m", {60.0, 70.0, 80.0, 90.0})
+    return Experiment::sweep("range_m", {60.0, 70.0, 80.0, 90.0}, set_range)
         .base(stress_base())
         .protocols({Protocol::maodv_gossip, Protocol::flooding})
         .seeds(3);  // 4 x 2 x 3 = 24 jobs
@@ -85,7 +87,7 @@ TEST(BuilderParallelStress, ManyJobsManyThreadsMatchSerial) {
 TEST(BuilderParallelStress, ProgressCallbackCountsEveryJobOnce) {
   std::atomic<std::size_t> calls{0};
   std::atomic<std::size_t> max_completed{0};
-  ExperimentResult r = Experiment::sweep("range_m", {70.0, 85.0})
+  ExperimentResult r = Experiment::sweep("range_m", {70.0, 85.0}, set_range)
                            .base(stress_base())
                            .protocols({Protocol::maodv_gossip})
                            .seeds(4)  // 2 x 1 x 4 = 8 jobs
@@ -110,7 +112,7 @@ TEST(BuilderParallelStress, ProgressCallbackCountsEveryJobOnce) {
 // TSan with interleaved lifetimes).
 TEST(BuilderParallelStress, RepeatedParallelBuildsStayIdentical) {
   auto build = [] {
-    return Experiment::sweep("range_m", {75.0})
+    return Experiment::sweep("range_m", {75.0}, set_range)
         .base(stress_base())
         .protocols({Protocol::maodv_gossip})
         .seeds(4)

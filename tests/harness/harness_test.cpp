@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "harness/experiment.h"
+#include "harness/experiment_builder.h"
 #include "harness/figure.h"
 #include "harness/network.h"
 #include "harness/scenario.h"
@@ -36,9 +37,7 @@ TEST(Scenario, WithersChainAndApply) {
   EXPECT_EQ(c.node_count, 100u);
   EXPECT_EQ(c.seed, 9u);
   c.with_protocol(Protocol::maodv);
-  EXPECT_FALSE(c.gossip.enabled);
-  c.with_protocol(Protocol::maodv_gossip);
-  EXPECT_TRUE(c.gossip.enabled);
+  EXPECT_EQ(c.protocol, Protocol::maodv);
 }
 
 TEST(Scenario, MemberCountNeverBelowTwo) {
@@ -67,14 +66,20 @@ TEST(Scenario, MemberCountExceedingNodesThrows) {
   EXPECT_THROW((void)c.member_count(), std::invalid_argument);
 }
 
-TEST(Experiment, RunPointAggregatesSeeds) {
+TEST(Experiment, SweepAggregatesSeeds) {
   ScenarioConfig c;
   c.node_count = 12;
   c.duration = sim::SimTime::seconds(40.0);
   c.workload.start = sim::SimTime::seconds(15.0);
   c.workload.end = sim::SimTime::seconds(35.0);
-  c.with_protocol(Protocol::maodv_gossip);
-  SeriesPoint p = run_point(c, 2, 75.0);
+  const ExperimentResult r =
+      Experiment::sweep("range_m", {75.0},
+                        [](ScenarioConfig& config, double x) { config.with_range(x); })
+          .base(c)
+          .protocols({Protocol::maodv_gossip})
+          .seeds(2)
+          .run();
+  const SeriesPoint& p = r.series.front().points.front();
   EXPECT_DOUBLE_EQ(p.x, 75.0);
   EXPECT_EQ(p.runs.size(), 2u);
   // 3 receivers (4 members minus source) x 2 seeds.

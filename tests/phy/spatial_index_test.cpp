@@ -285,7 +285,10 @@ TEST(ChannelSpatialIndex, ChurnRunBitIdenticalToBruteForce) {
 TEST(ChannelSpatialIndex, Fig2StyleJsonBitIdentical) {
   auto run_json = [](bool use_index, const std::string& path) {
     harness::ExperimentResult r =
-        harness::Experiment::sweep("range_m", {55.0, 75.0})
+        harness::Experiment::sweep("range_m", {55.0, 75.0},
+                                   [](harness::ScenarioConfig& c, double x) {
+                                     c.with_range(x);
+                                   })
             .base(short_scenario(use_index))
             .protocols({harness::Protocol::maodv_gossip, harness::Protocol::maodv})
             .seeds(2)
