@@ -53,7 +53,7 @@ void AodvRouter::send_unicast(net::Packet pkt) {
     return;
   }
   const net::NodeId dst = pkt.dst;
-  auto& pending = discoveries_[dst];
+  auto& pending = discoveries_[dst.value()];
   if (pending.buffered.size() >= params_.max_buffered_per_dest) {
     ++counters_.no_route_drops;
   } else {
@@ -105,7 +105,7 @@ void AodvRouter::route_hint(net::NodeId dest, net::NodeId via_neighbor, std::uin
 // ---------------------------------------------------------------- discovery
 
 void AodvRouter::discover(net::NodeId dest) {
-  auto& pending = discoveries_[dest];
+  auto& pending = discoveries_[dest.value()];
   if (pending.timer != nullptr && pending.timer->pending()) return;  // in progress
   if (pending.timer == nullptr) {
     pending.timer = std::make_unique<sim::Timer>(
@@ -132,7 +132,7 @@ void AodvRouter::discover(net::NodeId dest) {
 }
 
 void AodvRouter::discovery_timeout(net::NodeId dest) {
-  PendingDiscovery* pending = discoveries_.find(dest);
+  PendingDiscovery* pending = discoveries_.find(dest.value());
   if (pending == nullptr) return;
   if (routes_.find_valid(dest, sim_.now()) != nullptr) {
     flush_buffered(dest);
@@ -144,15 +144,15 @@ void AodvRouter::discovery_timeout(net::NodeId dest) {
   }
   ++counters_.discovery_failures;
   counters_.no_route_drops += pending->buffered.size();
-  discoveries_.erase(dest);
+  discoveries_.erase(dest.value());
   on_route_discovery_failed(dest);
 }
 
 void AodvRouter::flush_buffered(net::NodeId dest) {
-  PendingDiscovery* pending = discoveries_.find(dest);
+  PendingDiscovery* pending = discoveries_.find(dest.value());
   if (pending == nullptr) return;
-  std::deque<net::Packet> buffered = std::move(pending->buffered);
-  discoveries_.erase(dest);
+  std::vector<net::Packet> buffered = std::move(pending->buffered);
+  discoveries_.erase(dest.value());
   for (net::Packet& pkt : buffered) send_unicast(std::move(pkt));
 }
 
@@ -237,15 +237,19 @@ void AodvRouter::learn_reverse_routes(const RreqMsg& rreq, net::NodeId from) {
 bool AodvRouter::rreq_seen_before(net::NodeId origin, std::uint32_t rreq_id) {
   const std::uint64_t key = rreq_key(origin, rreq_id);
   const sim::SimTime now = sim_.now();
+  // Purge by lifetime: once per path_discovery_time, drop every entry
+  // that has expired. A lookup already treats an expired entry as
+  // absent, so the purge cannot change an answer; it bounds the cache to
+  // the RREQs seen in the last two lifetimes.
+  if (now >= next_rreq_purge_) {
+    rreq_cache_.erase_if(
+        [now](std::uint64_t, sim::SimTime& expires) { return expires < now; });
+    next_rreq_purge_ = now + params_.path_discovery_time;
+  }
   auto [expiry, inserted] =
       rreq_cache_.try_emplace(key, now + params_.path_discovery_time);
   if (!inserted && *expiry >= now) return true;
   *expiry = now + params_.path_discovery_time;
-  // Opportunistic cleanup keeps the cache bounded on long runs.
-  if (rreq_cache_.size() > 2048) {
-    rreq_cache_.erase_if(
-        [now](std::uint64_t, sim::SimTime& expires) { return expires < now; });
-  }
   return false;
 }
 

@@ -7,10 +7,10 @@
 #define AG_AODV_AODV_ROUTER_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "aodv/messages.h"
 #include "aodv/neighbor_table.h"
@@ -18,7 +18,6 @@
 #include "aodv/route_table.h"
 #include "mac/csma_mac.h"
 #include "net/dense_map.h"
-#include "net/node_table.h"
 #include "net/packet.h"
 #include "sim/rng.h"
 #include "sim/timer.h"
@@ -38,6 +37,8 @@ class AodvRouter : public mac::MacListener {
   [[nodiscard]] const AodvParams& params() const { return params_; }
   [[nodiscard]] RouteTable& route_table() { return routes_; }
   [[nodiscard]] NeighborTable& neighbors() { return neighbors_; }
+  // RREQ dedup entries currently held (live or awaiting the next purge).
+  [[nodiscard]] std::size_t rreq_cache_size() const { return rreq_cache_.size(); }
 
   // Sends a routed unicast packet (pkt.dst is the final destination);
   // triggers route discovery and buffers when no route is known.
@@ -117,9 +118,11 @@ class AodvRouter : public mac::MacListener {
   Counters& mutable_counters() { return counters_; }
 
  private:
+  // A std::vector, not a std::deque: an empty libstdc++ deque already
+  // allocates ~0.5 KB, which every DenseMap slot would pay.
   struct PendingDiscovery {
     std::uint32_t attempts{0};
-    std::deque<net::Packet> buffered;
+    std::vector<net::Packet> buffered;
     std::unique_ptr<sim::Timer> timer;
   };
 
@@ -146,7 +149,8 @@ class AodvRouter : public mac::MacListener {
   net::SeqNo own_seq_{net::SeqNo{1}};
   std::uint32_t rreq_id_{1};
   net::DenseMap<sim::SimTime> rreq_cache_;  // (origin,id) -> expiry
-  net::NodeTable<PendingDiscovery> discoveries_;
+  sim::SimTime next_rreq_purge_;            // see rreq_seen_before
+  net::DenseMap<PendingDiscovery> discoveries_;  // key: dest.value()
   LocalDeliver local_deliver_;
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer sweep_timer_;

@@ -6,18 +6,18 @@
 #include <vector>
 
 #include "net/ids.h"
-#include "net/node_table.h"
+#include "net/dense_map.h"
 #include "sim/time.h"
 
 namespace ag::aodv {
 
 class NeighborTable {
  public:
-  void heard(net::NodeId neighbor, sim::SimTime now) { last_heard_[neighbor] = now; }
-  void remove(net::NodeId neighbor) { last_heard_.erase(neighbor); }
+  void heard(net::NodeId neighbor, sim::SimTime now) { last_heard_[neighbor.value()] = now; }
+  void remove(net::NodeId neighbor) { last_heard_.erase(neighbor.value()); }
 
   [[nodiscard]] bool contains(net::NodeId neighbor) const {
-    return last_heard_.contains(neighbor);
+    return last_heard_.contains(neighbor.value());
   }
 
   // Removes and returns all neighbors not heard since `cutoff`, in
@@ -30,7 +30,7 @@ class NeighborTable {
   void clear() { last_heard_.clear(); }
 
  private:
-  net::NodeTable<sim::SimTime> last_heard_;
+  net::DenseMap<sim::SimTime> last_heard_;  // key: neighbor.value()
 };
 
 }  // namespace ag::aodv

@@ -1,11 +1,13 @@
 #include "aodv/route_table.h"
 
+#include <algorithm>
+
 namespace ag::aodv {
 
-RouteEntry* RouteTable::find(net::NodeId dest) { return entries_.find(dest); }
+RouteEntry* RouteTable::find(net::NodeId dest) { return entries_.find(dest.value()); }
 
 const RouteEntry* RouteTable::find(net::NodeId dest) const {
-  return entries_.find(dest);
+  return entries_.find(dest.value());
 }
 
 RouteEntry* RouteTable::find_valid(net::NodeId dest, sim::SimTime now) {
@@ -20,7 +22,7 @@ RouteEntry* RouteTable::find_valid(net::NodeId dest, sim::SimTime now) {
 
 bool RouteTable::offer(net::NodeId dest, net::SeqNo seq, bool seq_known,
                        std::uint8_t hops, net::NodeId next_hop, sim::SimTime expires) {
-  auto [slot, inserted] = entries_.try_emplace(dest);
+  auto [slot, inserted] = entries_.try_emplace(dest.value());
   RouteEntry& e = *slot;
   if (inserted) {
     e = RouteEntry{expires, dest, seq, next_hop, hops, seq_known, true};
@@ -66,9 +68,10 @@ RouteEntry* RouteTable::invalidate(net::NodeId dest) {
 
 std::vector<net::NodeId> RouteTable::dests_via(net::NodeId next_hop) const {
   std::vector<net::NodeId> out;
-  entries_.for_each([&](net::NodeId dest, const RouteEntry& e) {
-    if (e.valid && e.next_hop == next_hop) out.push_back(dest);
+  entries_.for_each([&](std::uint64_t key, const RouteEntry& e) {
+    if (e.valid && e.next_hop == next_hop) out.push_back(net::node_of(key));
   });
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "net/ids.h"
-#include "net/node_table.h"
+#include "net/dense_map.h"
 #include "sim/time.h"
 
 namespace ag::aodv {
@@ -16,9 +16,8 @@ namespace ag::aodv {
 // Packed for the 1000-node cache footprint: the 8-byte expiry leads so
 // the three 4-byte ids follow with no alignment holes, and the flag
 // bytes share the tail padding — 24 bytes per entry instead of the 32
-// the old interleaved layout burned on padding. RouteTable is a flat
-// NodeTable<RouteEntry>, so every AODV route lookup walks these
-// back-to-back; 3 entries now fit in every pair of cache lines.
+// the old interleaved layout burned on padding. RouteTable keeps them in
+// a DenseMap keyed by destination, sized by the routes a node holds.
 struct RouteEntry {
   sim::SimTime expires;
   net::NodeId dest;
@@ -53,7 +52,8 @@ class RouteTable {
   // broken routes). No-op if absent. Returns the invalidated entry or null.
   RouteEntry* invalidate(net::NodeId dest);
 
-  // All valid destinations currently routed through `next_hop`.
+  // All valid destinations currently routed through `next_hop`, in
+  // ascending node order.
   [[nodiscard]] std::vector<net::NodeId> dests_via(net::NodeId next_hop) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -62,7 +62,7 @@ class RouteTable {
   void clear() { entries_.clear(); }
 
  private:
-  net::NodeTable<RouteEntry> entries_;
+  net::DenseMap<RouteEntry> entries_;  // key: dest.value()
 };
 
 }  // namespace ag::aodv

@@ -46,12 +46,12 @@ void AdversaryRouter::reset() {
 }
 
 bool AdversaryRouter::is_isolated(net::NodeId neighbor) const {
-  const NeighborTrust* t = trust_table_.find(neighbor);
+  const NeighborTrust* t = trust_table_.find(neighbor.value());
   return t != nullptr && t->isolated;
 }
 
 AdversaryRouter::TrustSnapshot AdversaryRouter::trust_of(net::NodeId neighbor) const {
-  const NeighborTrust* t = trust_table_.find(neighbor);
+  const NeighborTrust* t = trust_table_.find(neighbor.value());
   if (t == nullptr) return {};
   return {true, t->isolated, t->expected, t->observed, t->junk, t->useful};
 }
@@ -148,7 +148,7 @@ void AdversaryRouter::poison(const gossip::GossipMsg& msg, net::NodeId from) {
 
 AdversaryRouter::NeighborTrust& AdversaryRouter::touch(net::NodeId neighbor,
                                                        sim::SimTime now) {
-  auto [t, inserted] = trust_table_.try_emplace(neighbor, NeighborTrust{});
+  auto [t, inserted] = trust_table_.try_emplace(neighbor.value(), NeighborTrust{});
   if (inserted) t->last_decay = now;  // fresh entry: no mass to decay yet
   return *t;
 }
@@ -195,13 +195,14 @@ void AdversaryRouter::watch_data_frame(const mac::Frame& frame, bool own,
   // selective forwarder near (1 - drop_fraction) x capture.
   live_scratch_.clear();
   const net::NodeId me = self();
-  trust_table_.for_each([&](net::NodeId id, NeighborTrust& t) {
-    if (id == me) return;
+  trust_table_.for_each([&](std::uint64_t id, NeighborTrust& t) {
+    if (id == me.value()) return;
     if ((now - t.last_heard).to_seconds() > trust_.neighbor_ttl_s) return;
-    live_scratch_.push_back(id);
+    live_scratch_.push_back(net::node_of(id));
   });
+  std::sort(live_scratch_.begin(), live_scratch_.end());  // isolation order
   for (const net::NodeId id : live_scratch_) {
-    NeighborTrust& t = *trust_table_.find(id);
+    NeighborTrust& t = *trust_table_.find(id.value());
     decay(t, now);
     t.expected += 1.0;
     if (!t.isolated && t.expected >= trust_.min_expected &&

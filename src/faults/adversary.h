@@ -83,7 +83,6 @@
 #include "harness/multicast_router.h"
 #include "mac/csma_mac.h"
 #include "net/dense_map.h"
-#include "net/node_table.h"
 #include "net/packet.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -257,7 +256,7 @@ class AdversaryRouter final : public harness::MulticastRouter,
   sim::Rng drop_rng_;    // selective_forward draws; untouched otherwise
   gossip::RouterObserver* observer_{nullptr};
 
-  net::NodeTable<NeighborTrust> trust_table_;
+  net::DenseMap<NeighborTrust> trust_table_;  // key: neighbor.value()
   net::DenseSet seen_;           // messages this node holds (junk-reply classifier)
   net::DenseSet requested_;      // msg ids this node's own pulls asked for
   net::DenseSet relay_seen_;     // packets the watchdog already credited

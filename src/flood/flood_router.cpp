@@ -1,5 +1,7 @@
 #include "flood/flood_router.h"
 
+#include <algorithm>
+
 namespace ag::flood {
 
 FloodRouter::FloodRouter(mac::CsmaMac& mac, net::NodeId self, std::uint8_t data_ttl,
@@ -57,7 +59,7 @@ std::uint32_t FloodRouter::send_multicast(net::GroupId group, std::uint16_t payl
 
 void FloodRouter::on_packet_received(const net::Packet& packet, net::NodeId from) {
   if (gossip_links_) {
-    heard_[from] = mac_.now();
+    heard_[from.value()] = mac_.now();
     if (!packet.is<net::MulticastData>()) {
       handle_gossip_traffic(packet, from);
       return;
@@ -103,12 +105,12 @@ void FloodRouter::handle_gossip_traffic(const net::Packet& packet, net::NodeId f
 
 net::NodeId FloodRouter::next_hop_for(net::NodeId dest) const {
   const sim::SimTime now = mac_.now();
-  if (const sim::SimTime* heard = heard_.find(dest);
+  if (const sim::SimTime* heard = heard_.find(dest.value());
       heard != nullptr && (now - *heard).to_seconds() <= kNeighborTtlS) {
     return dest;
   }
-  if (const Hint* hint = hints_.find(dest); hint != nullptr) {
-    if (const sim::SimTime* via = heard_.find(hint->via);
+  if (const Hint* hint = hints_.find(dest.value()); hint != nullptr) {
+    if (const sim::SimTime* via = heard_.find(hint->via.value());
         via != nullptr && (now - *via).to_seconds() <= kNeighborTtlS) {
       return hint->via;
     }
@@ -119,13 +121,13 @@ net::NodeId FloodRouter::next_hop_for(net::NodeId dest) const {
 std::vector<net::NodeId> FloodRouter::tree_neighbors(net::GroupId) const {
   if (!gossip_links_) return {};
   // Every recently-heard transmitter is a peer on a relay-everything
-  // substrate. Ascending node order (NodeTable contract) keeps walk
-  // fan-out deterministic.
+  // substrate. Ascending node order keeps walk fan-out deterministic.
   std::vector<net::NodeId> out;
   const sim::SimTime now = mac_.now();
-  heard_.for_each([&](net::NodeId id, const sim::SimTime& at) {
-    if ((now - at).to_seconds() <= kNeighborTtlS) out.push_back(id);
+  heard_.for_each([&](std::uint64_t id, const sim::SimTime& at) {
+    if ((now - at).to_seconds() <= kNeighborTtlS) out.push_back(net::node_of(id));
   });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -157,12 +159,12 @@ void FloodRouter::send_to_neighbor(net::NodeId neighbor, net::Payload payload) {
 void FloodRouter::route_hint(net::NodeId dest, net::NodeId via_neighbor,
                              std::uint8_t hops) {
   if (!gossip_links_) return;
-  hints_[dest] = Hint{via_neighbor, hops};
+  hints_[dest.value()] = Hint{via_neighbor, hops};
 }
 
 std::uint8_t FloodRouter::route_hops(net::NodeId dest) const {
   if (!gossip_links_) return 0;
-  const Hint* h = hints_.find(dest);
+  const Hint* h = hints_.find(dest.value());
   return h != nullptr ? h->hops : 0;
 }
 

@@ -116,8 +116,10 @@ class FloodRouter final : public mac::MacListener, public harness::MulticastRout
   net::NodeTable<std::uint32_t, net::GroupId> next_seq_;
   net::DenseSet seen_;
   std::deque<net::MsgId> seen_order_;
-  net::NodeTable<sim::SimTime> heard_;  // gossip_links: last frame per neighbor
-  net::NodeTable<Hint> hints_;          // gossip_links: reverse-path hints
+  // gossip_links only, both keyed by node id value: last frame heard per
+  // neighbor, and reverse-path hints per destination.
+  net::DenseMap<sim::SimTime> heard_;
+  net::DenseMap<Hint> hints_;
   Counters counters_;
 };
 

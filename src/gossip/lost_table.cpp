@@ -5,7 +5,7 @@
 namespace ag::gossip {
 
 ReceiveOutcome LostTable::on_data(const net::MsgId& id) {
-  std::uint32_t& expected = expected_[id.origin];
+  std::uint32_t& expected = expected_[id.origin.value()];
   if (id.seq == expected) {
     expected = id.seq + 1;
     return ReceiveOutcome::in_order;
@@ -55,14 +55,18 @@ std::vector<net::MsgId> LostTable::most_recent(std::size_t max_count) const {
 std::vector<SenderExpectation> LostTable::expectations() const {
   std::vector<SenderExpectation> out;
   out.reserve(expected_.size());
-  expected_.for_each([&](net::NodeId sender, const std::uint32_t& seq) {
-    out.push_back({sender, seq});
+  expected_.for_each([&](std::uint64_t sender, const std::uint32_t& seq) {
+    out.push_back({net::node_of(sender), seq});
   });
+  std::sort(out.begin(), out.end(),
+            [](const SenderExpectation& a, const SenderExpectation& b) {
+              return a.sender < b.sender;
+            });
   return out;
 }
 
 std::uint32_t LostTable::expected_for(net::NodeId sender) const {
-  const std::uint32_t* seq = expected_.find(sender);
+  const std::uint32_t* seq = expected_.find(sender.value());
   return seq == nullptr ? 0 : *seq;
 }
 

@@ -12,7 +12,6 @@
 #include "gossip/messages.h"
 #include "net/data.h"
 #include "net/dense_map.h"
-#include "net/node_table.h"
 
 namespace ag::gossip {
 
@@ -49,7 +48,7 @@ class LostTable {
   void add_lost(const net::MsgId& id);
 
   std::size_t capacity_;
-  net::NodeTable<std::uint32_t> expected_;
+  net::DenseMap<std::uint32_t> expected_;  // key: sender.value()
   net::DenseSet lost_;  // keyed net::msg_key
   std::deque<net::MsgId> insertion_order_;  // front = oldest
   std::uint64_t abandoned_{0};

@@ -1,22 +1,23 @@
 #include "gossip/nearest_member.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace ag::gossip {
 
 void NearestMemberTracker::on_neighbor_added(net::GroupId group, net::NodeId neighbor,
                                              std::uint16_t member_distance_hint) {
   GroupState& g = groups_[group];
-  g.values[neighbor] = member_distance_hint == 0 ? kInfinity : member_distance_hint;
-  g.last_advertised.erase(neighbor);  // force an initial MODIFY to the newcomer
+  g.values[neighbor.value()] = member_distance_hint == 0 ? kInfinity : member_distance_hint;
+  g.last_advertised.erase(neighbor.value());  // force an initial MODIFY to the newcomer
   publish(group);
 }
 
 void NearestMemberTracker::on_neighbor_removed(net::GroupId group, net::NodeId neighbor) {
   GroupState* g = groups_.find(group);
   if (g == nullptr) return;
-  g->values.erase(neighbor);
-  g->last_advertised.erase(neighbor);
+  g->values.erase(neighbor.value());
+  g->last_advertised.erase(neighbor.value());
   publish(group);
 }
 
@@ -28,7 +29,7 @@ void NearestMemberTracker::on_self_membership(net::GroupId group, bool member) {
 void NearestMemberTracker::on_update_received(net::GroupId group, net::NodeId from,
                                               std::uint16_t value) {
   GroupState& g = groups_[group];
-  std::uint16_t* known = g.values.find(from);
+  std::uint16_t* known = g.values.find(from.value());
   if (known == nullptr) return;  // not an activated hop (stale message)
   if (*known == value) return;
   *known = value;
@@ -39,7 +40,7 @@ std::uint16_t NearestMemberTracker::value_for(net::GroupId group,
                                               net::NodeId neighbor) const {
   const GroupState* g = groups_.find(group);
   if (g == nullptr) return kInfinity;
-  const std::uint16_t* value = g->values.find(neighbor);
+  const std::uint16_t* value = g->values.find(neighbor.value());
   return value == nullptr ? kInfinity : *value;
 }
 
@@ -49,8 +50,8 @@ std::uint16_t NearestMemberTracker::advertised_to(net::GroupId group,
   if (g == nullptr) return kInfinity;
   if (g->self_member) return 1;  // this node itself is one hop from `exclude`
   std::uint16_t best = kInfinity;
-  g->values.for_each([&](net::NodeId neighbor, const std::uint16_t& value) {
-    if (neighbor == exclude) return;
+  g->values.for_each([&](std::uint64_t neighbor, const std::uint16_t& value) {
+    if (neighbor == exclude.value()) return;
     best = std::min(best, value);
   });
   return best == kInfinity ? kInfinity : static_cast<std::uint16_t>(best + 1);
@@ -67,15 +68,20 @@ void NearestMemberTracker::publish(net::GroupId group) {
   GroupState* found = groups_.find(group);
   if (found == nullptr) return;
   GroupState& g = *found;
-  g.values.for_each([&](net::NodeId neighbor, std::uint16_t&) {
+  std::vector<net::NodeId> neighbors;
+  neighbors.reserve(g.values.size());
+  g.values.for_each(
+      [&](std::uint64_t key, std::uint16_t&) { neighbors.push_back(net::node_of(key)); });
+  std::sort(neighbors.begin(), neighbors.end());
+  for (const net::NodeId neighbor : neighbors) {
     const std::uint16_t value = advertised_to(group, neighbor);
-    auto [advertised, inserted] = g.last_advertised.try_emplace(neighbor, value);
+    auto [advertised, inserted] = g.last_advertised.try_emplace(neighbor.value(), value);
     if (!inserted) {
-      if (*advertised == value) return;  // unchanged: suppress (paper 4.2)
+      if (*advertised == value) continue;  // unchanged: suppress (paper 4.2)
       *advertised = value;
     }
     send_(group, neighbor, value);
-  });
+  }
 }
 
 }  // namespace ag::gossip

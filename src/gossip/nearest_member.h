@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "net/dense_map.h"
 #include "net/ids.h"
 #include "net/node_table.h"
 
@@ -50,8 +51,9 @@ class NearestMemberTracker {
  private:
   struct GroupState {
     bool self_member{false};
-    net::NodeTable<std::uint16_t> values;          // per next hop
-    net::NodeTable<std::uint16_t> last_advertised;  // change suppression
+    // Both keyed by next hop (neighbor.value()).
+    net::DenseMap<std::uint16_t> values;
+    net::DenseMap<std::uint16_t> last_advertised;  // change suppression
   };
 
   // Re-derives advertised values for every neighbor of `group` (ascending

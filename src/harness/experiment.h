@@ -95,6 +95,8 @@ struct WeightedMean {
     Sink::figure | Sink::scale, r.totals.pool_hits)                                 \
   X(mean_pool_misses, "pool_misses", U64Mean, 0, always,                           \
     Sink::figure | Sink::scale, r.totals.pool_misses)                               \
+  X(mean_table_bytes, "table_bytes", U64Mean, 0, always,                           \
+    Sink::scale, r.totals.table_bytes)                                              \
   /* DTN custody tier and user sessions. */                                         \
   X(mean_sessions, "sessions", U64Mean, 0, dtn,                                    \
     Sink::figure | Sink::dtn, r.totals.sessions.sessions)                           \

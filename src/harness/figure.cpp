@@ -1,33 +1,68 @@
 #include "harness/figure.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "harness/atomic_io.h"
 
 namespace ag::harness {
 
-void print_figure(const std::string& title, const std::string& x_label,
-                  const std::vector<FigureSeries>& series) {
-  std::printf("== %s ==\n", title.c_str());
-  std::printf("%-12s", x_label.c_str());
-  for (const FigureSeries& s : series) {
-    std::printf(" | %s avg    min    max  goodput%%    tx/run", s.name.c_str());
-  }
-  std::printf("\n");
-  if (series.empty() || series.front().points.empty()) return;
-  const std::size_t rows = series.front().points.size();
+namespace {
+
+// One series block per row: " | " then the five fixed-width fields. The
+// header puts the series name on its own line above the column labels,
+// and a long x label widens the x column on every line.
+constexpr int kBlockWidth = 44;  // "%10.1f %6.0f %6.0f %9.2f %9llu"
+
+template <typename... Args>
+void append(std::string& out, const char* format, Args... args) {
+  const int n = std::snprintf(nullptr, 0, format, args...);
+  if (n <= 0) return;
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(n) + 1);
+  std::snprintf(out.data() + at, static_cast<std::size_t>(n) + 1, format, args...);
+  out.resize(at + static_cast<std::size_t>(n));
+}
+
+}  // namespace
+
+std::string format_figure(const std::string& title, const std::string& x_label,
+                          const std::vector<FigureSeries>& series) {
+  const std::size_t rows = series.empty() ? 0 : series.front().points.size();
+  std::vector<std::string> xs(rows);
+  int x_width = std::max(12, static_cast<int>(x_label.size()));
   for (std::size_t i = 0; i < rows; ++i) {
-    std::printf("%-12g", series.front().points[i].x);
+    append(xs[i], "%g", series.front().points[i].x);
+    x_width = std::max(x_width, static_cast<int>(xs[i].size()));
+  }
+
+  std::string out = "== " + title + " ==\n";
+  append(out, "%-*s", x_width, "");
+  for (const FigureSeries& s : series) append(out, " | %-*s", kBlockWidth, s.name.c_str());
+  out += '\n';
+  append(out, "%-*s", x_width, x_label.c_str());
+  for (std::size_t k = 0; k < series.size(); ++k) {
+    append(out, " | %10s %6s %6s %9s %9s", "avg", "min", "max", "goodput%", "tx/run");
+  }
+  out += '\n';
+  for (std::size_t i = 0; i < rows; ++i) {
+    append(out, "%-*s", x_width, xs[i].c_str());
     for (const FigureSeries& s : series) {
       if (i < s.points.size()) {
         const SeriesPoint& p = s.points[i];
-        std::printf(" | %10.1f %6.0f %6.0f %9.2f %9llu", p.received.mean, p.received.min,
-                    p.received.max, p.mean_goodput_pct,
-                    static_cast<unsigned long long>(p.mean_transmissions));
+        append(out, " | %10.1f %6.0f %6.0f %9.2f %9llu", p.received.mean, p.received.min,
+               p.received.max, p.mean_goodput_pct,
+               static_cast<unsigned long long>(p.mean_transmissions));
       }
     }
-    std::printf("\n");
+    out += '\n';
   }
+  return out;
+}
+
+void print_figure(const std::string& title, const std::string& x_label,
+                  const std::vector<FigureSeries>& series) {
+  std::fputs(format_figure(title, x_label, series).c_str(), stdout);
   std::fflush(stdout);
 }
 

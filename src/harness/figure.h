@@ -17,11 +17,17 @@ struct FigureSeries {
   std::vector<SeriesPoint> points;
 };
 
-// Prints:
-//   == Figure N: <title> ==
-//   <x_label> | Gossip avg min max goodput% tx/run | Maodv avg min max ...
+// Renders the figure as a fixed-width table:
+//   == <title> ==
+//               | Gossip                     | Maodv ...
+//   <x_label>   |  avg min max goodput% tx/run |  avg min max ...
+//   <x>         |  ...one row per x value...
 // where avg/min/max are received packets per member and tx/run is the
-// mean channel transmissions per seed.
+// mean channel transmissions per seed. Every `|` sits in the same column
+// on every line.
+[[nodiscard]] std::string format_figure(const std::string& title, const std::string& x_label,
+                                        const std::vector<FigureSeries>& series);
+// Writes format_figure() to stdout.
 void print_figure(const std::string& title, const std::string& x_label,
                   const std::vector<FigureSeries>& series);
 

@@ -333,6 +333,7 @@ stats::RunResult Network::result() const {
   t.table_probes = dpc.table_probes - dpc_baseline_.table_probes;
   t.pool_hits = dpc.pool_hits - dpc_baseline_.pool_hits;
   t.pool_misses = dpc.pool_misses - dpc_baseline_.pool_misses;
+  t.table_bytes = dpc.table_bytes - dpc_baseline_.table_bytes;
   for (const auto& s : stacks_) {
     t.mac_unicast += s->mac->counters().unicast_sent;
     t.mac_broadcast += s->mac->counters().broadcast_sent;

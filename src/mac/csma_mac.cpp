@@ -300,7 +300,7 @@ void CsmaMac::on_frame_received(const Frame& frame) {
   if (sniffer_ != nullptr) sniffer_->on_frame_overheard(frame);
   if (frame.mac_dst == self_) {
     send_ack(frame.mac_src, frame.mac_seq);
-    auto [seq, fresh] = last_rx_seq_.try_emplace(frame.mac_src, frame.mac_seq);
+    auto [seq, fresh] = last_rx_seq_.try_emplace(frame.mac_src.value(), frame.mac_seq);
     if (!fresh) {
       if (*seq == frame.mac_seq) {
         ++counters_.dup_frames_dropped;  // retransmission we already accepted

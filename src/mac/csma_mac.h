@@ -24,7 +24,7 @@
 #include "mac/frame.h"
 #include "mac/mac_params.h"
 #include "net/data_plane.h"
-#include "net/node_table.h"
+#include "net/dense_map.h"
 #include "phy/channel.h"
 #include "phy/radio.h"
 #include "sim/rng.h"
@@ -179,7 +179,7 @@ class CsmaMac final : public phy::RadioListener {
 
   // Last mac_seq accepted per neighbor: drops MAC-level retransmission
   // duplicates (data received, ACK lost, sender retried).
-  net::NodeTable<std::uint16_t> last_rx_seq_;
+  net::DenseMap<std::uint16_t> last_rx_seq_;  // key: neighbor.value()
 
   Counters counters_;
 };

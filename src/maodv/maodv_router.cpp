@@ -219,9 +219,17 @@ void MaodvRouter::handle_join_rrep(const aodv::RrepMsg& rrep, net::NodeId from) 
   }
   // Intermediate hop: remember the upstream candidate for this (group,
   // origin) graft and relay toward the origin along the reverse route.
+  // Once per graft_candidate_life, expired candidates are purged first;
+  // process_mact already treats an expired candidate as absent.
+  const sim::SimTime now = simulator().now();
+  if (now >= next_graft_purge_) {
+    grafts_.erase_if(
+        [now](std::uint64_t, GraftCandidate& g) { return g.expires < now; });
+    next_graft_purge_ = now + mparams_.graft_candidate_life;
+  }
   grafts_[pair_key(rrep.group, rrep.origin)] =
-      GraftCandidate{from, simulator().now() + mparams_.graft_candidate_life};
-  aodv::RouteEntry* back = route_table().find_valid(rrep.origin, simulator().now());
+      GraftCandidate{from, now + mparams_.graft_candidate_life};
+  aodv::RouteEntry* back = route_table().find_valid(rrep.origin, now);
   if (back == nullptr) return;
   aodv::RrepMsg fwd = rrep;
   fwd.hop_count++;

@@ -153,6 +153,7 @@ class MaodvRouter : public aodv::AodvRouter, public harness::MulticastRouter {
 
   net::NodeTable<JoinAttempt, net::GroupId> joins_;
   net::DenseMap<GraftCandidate> grafts_;  // key pair_key(group, origin)
+  sim::SimTime next_graft_purge_;         // see handle_join_rrep
   net::NodeTable<std::uint32_t, net::GroupId> next_data_seq_;
   // GRPH dedup: per (group, leader), freshest sequence seen (flood and
   // tree-scoped beats tracked separately).

@@ -4,6 +4,7 @@
 #ifndef AG_NET_DATA_PLANE_H
 #define AG_NET_DATA_PLANE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,8 +20,31 @@ struct DataPlaneCounters {
   std::uint64_t table_probes{0};  // NodeTable/DenseMap lookups + mutations
   std::uint64_t pool_hits{0};     // packets served from the free list
   std::uint64_t pool_misses{0};   // packets that had to allocate
+  // Bytes currently held in NodeTable/DenseMap slot arrays (allocations
+  // minus releases, so only differences are meaningful).
+  std::uint64_t table_bytes{0};
 };
 [[nodiscard]] DataPlaneCounters& data_plane_counters();
+
+// Allocator for the tables' slot arrays: every allocation and release
+// moves DataPlaneCounters::table_bytes, so a run can report what its
+// tables hold however they were grown, moved, copied or destroyed.
+template <typename T>
+struct TableAllocator {
+  using value_type = T;
+  TableAllocator() = default;
+  template <typename U>
+  TableAllocator(const TableAllocator<U>&) noexcept {}
+  [[nodiscard]] T* allocate(std::size_t n) {
+    data_plane_counters().table_bytes += n * sizeof(T);
+    return std::allocator<T>{}.allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    data_plane_counters().table_bytes -= n * sizeof(T);
+    std::allocator<T>{}.deallocate(p, n);
+  }
+  friend bool operator==(const TableAllocator&, const TableAllocator&) { return true; }
+};
 
 // Shared immutable packet flowing router enqueue -> MAC queue -> Frame ->
 // Channel -> every receiver. Copy-on-write: a relay that mutates

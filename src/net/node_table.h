@@ -1,8 +1,13 @@
-// Flat per-node (or per-group) state table: a vector indexed by
-// Id::value() with a compact occupancy bitmap. Replaces the per-node
-// std::unordered_map in the MAC/router/gossip hot paths — node ids are
-// small and dense (0..n-1), so a lookup is one bounds check plus one bit
-// test, and iteration is a bitmap scan in ascending key order.
+// Flat per-group state table: a vector indexed by GroupId::value() with
+// a compact occupancy bitmap. Group ids are few and dense (0..g-1), so a
+// lookup is one bounds check plus one bit test, and iteration is a
+// bitmap scan in ascending key order.
+//
+// Memory is O(key space): the slot array reaches the largest key ever
+// inserted, however few keys are live. That is right for group ids and
+// wrong for node ids — a per-node table keyed by NodeId would cost O(n)
+// per node and O(n^2) per network — so every table keyed by a node id
+// is a net::DenseMap (key = NodeId::value()), sized by its live entries.
 //
 // An ordered std::map is the reference model: node_table_test drives
 // both with one seeded op stream and compares every result and the
@@ -18,6 +23,8 @@
 //  - for_each()/erase_if() visit keys in ascending order; the callback
 //    must not insert into the table it is iterating (erasing the visited
 //    entry through erase_if is fine).
+//  - find/try_emplace/erase each count one table_probes; for_each and
+//    erase_if count none (the same contract as DenseMap).
 #ifndef AG_NET_NODE_TABLE_H
 #define AG_NET_NODE_TABLE_H
 
@@ -32,7 +39,7 @@
 
 namespace ag::net {
 
-template <typename T, typename Key = NodeId>
+template <typename T, typename Key>
 class NodeTable {
  public:
   [[nodiscard]] T* find(Key key) {
@@ -131,7 +138,7 @@ class NodeTable {
   }
 
  private:
-  // Node/group ids are assigned densely from 0; anything near the
+  // Group ids are assigned densely from 0; anything near the
   // invalid()/broadcast() sentinels is a bug, and a huge key would
   // allocate a proportionally huge slot vector.
   static constexpr std::uint32_t kMaxKey = 1u << 22;
@@ -160,13 +167,13 @@ class NodeTable {
   }
 
   DataPlaneCounters* dpc_{&data_plane_counters()};
-  std::vector<T> slots_;
-  std::vector<std::uint64_t> occupied_;
+  std::vector<T, TableAllocator<T>> slots_;
+  std::vector<std::uint64_t, TableAllocator<std::uint64_t>> occupied_;
   std::size_t count_{0};
 };
 
-// Set-of-ids facade over NodeTable (group membership, etc.).
-template <typename Key = NodeId>
+// Set-of-ids facade over NodeTable (group membership).
+template <typename Key>
 class IdSet {
  public:
   bool insert(Key key) { return table_.try_emplace(key).second; }

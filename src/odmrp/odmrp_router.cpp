@@ -63,9 +63,10 @@ std::vector<net::NodeId> OdmrpRouter::mesh_neighbors(net::GroupId group) const {
   const GroupState* gs = groups_.find(group);
   if (gs == nullptr) return out;
   const sim::SimTime now = simulator().now();
-  gs->mesh_peers.for_each([&](net::NodeId peer, const sim::SimTime& until) {
-    if (until >= now) out.push_back(peer);
+  gs->mesh_peers.for_each([&](std::uint64_t peer, const sim::SimTime& until) {
+    if (until >= now) out.push_back(net::node_of(peer));
   });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -93,8 +94,10 @@ void OdmrpRouter::join_group(net::GroupId group) {
   if (observer_ != nullptr) observer_->on_self_membership_changed(group, true);
   // Answer any queries already flooding so the mesh reaches us quickly.
   std::vector<net::NodeId> sources;
-  gs.sources.for_each(
-      [&](net::NodeId source, const GroupState::SourcePath&) { sources.push_back(source); });
+  gs.sources.for_each([&](std::uint64_t source, const GroupState::SourcePath&) {
+    sources.push_back(net::node_of(source));
+  });
+  std::sort(sources.begin(), sources.end());
   for (net::NodeId source : sources) send_reply(group, gs, source);
 }
 
@@ -143,12 +146,19 @@ void OdmrpRouter::refresh_tick() {
 }
 
 void OdmrpRouter::expire_soft_state(net::GroupId group, GroupState& gs) {
+  // Expired peers are erased first and reported in ascending order; an
+  // expired peer is already invisible to mesh_neighbors(), so the
+  // observer sees the same mesh either way.
   const sim::SimTime now = simulator().now();
-  gs.mesh_peers.erase_if([&](net::NodeId peer, sim::SimTime& until) {
+  std::vector<net::NodeId> expired;
+  gs.mesh_peers.erase_if([&](std::uint64_t peer, sim::SimTime& until) {
     if (until >= now) return false;
-    if (observer_ != nullptr) observer_->on_tree_neighbor_removed(group, peer);
+    expired.push_back(net::node_of(peer));
     return true;
   });
+  if (observer_ == nullptr) return;
+  std::sort(expired.begin(), expired.end());
+  for (const net::NodeId peer : expired) observer_->on_tree_neighbor_removed(group, peer);
 }
 
 // ------------------------------------------------------------- mesh build
@@ -163,7 +173,7 @@ void OdmrpRouter::process_query(const net::Packet& packet, const JoinQueryMsg& q
     *seen = query.query_seq;
   }
   GroupState& gs = state_for(query.group);
-  auto& path = gs.sources[query.source];
+  auto& path = gs.sources[query.source.value()];
   path.query_seq = query.query_seq;
   path.upstream = from;
   // The reverse path doubles as a unicast route to the source — exactly
@@ -182,7 +192,7 @@ void OdmrpRouter::process_query(const net::Packet& packet, const JoinQueryMsg& q
 
 void OdmrpRouter::send_reply(net::GroupId group, GroupState& gs, net::NodeId source) {
   if (source == self()) return;
-  GroupState::SourcePath* found = gs.sources.find(source);
+  GroupState::SourcePath* found = gs.sources.find(source.value());
   if (found == nullptr) return;
   GroupState::SourcePath& path = *found;
   if (path.replied_seq >= path.query_seq) return;  // already answered this round
@@ -211,7 +221,7 @@ void OdmrpRouter::process_reply(const JoinReplyMsg& reply, net::NodeId from) {
     note_mesh_peer(reply.group, gs, from);
     if (entry.source == self()) continue;  // the chain reached the source
     // Propagate the reply toward the source along our own reverse path.
-    GroupState::SourcePath* path = gs.sources.find(entry.source);
+    GroupState::SourcePath* path = gs.sources.find(entry.source.value());
     if (path == nullptr || !path->upstream.is_valid()) continue;
     if (path->replied_seq >= entry.query_seq) continue;
     path->replied_seq = entry.query_seq;
@@ -227,7 +237,7 @@ void OdmrpRouter::process_reply(const JoinReplyMsg& reply, net::NodeId from) {
 void OdmrpRouter::note_mesh_peer(net::GroupId group, GroupState& gs, net::NodeId peer) {
   if (peer == self()) return;
   const auto until = simulator().now() + oparams_.fg_timeout;
-  auto [expires, inserted] = gs.mesh_peers.try_emplace(peer, until);
+  auto [expires, inserted] = gs.mesh_peers.try_emplace(peer.value(), until);
   if (!inserted) {
     *expires = until;
     return;

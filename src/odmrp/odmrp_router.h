@@ -96,9 +96,9 @@ class OdmrpRouter final : public aodv::AodvRouter, public harness::MulticastRout
       net::NodeId upstream{net::NodeId::invalid()};
       std::uint32_t replied_seq{0};  // last query answered with a JR
     };
-    net::NodeTable<SourcePath> sources;
-    sim::SimTime forwarding_until;               // FG_FLAG soft state
-    net::NodeTable<sim::SimTime> mesh_peers;  // for gossip walks
+    net::DenseMap<SourcePath> sources;  // key: source.value()
+    sim::SimTime forwarding_until;      // FG_FLAG soft state
+    net::DenseMap<sim::SimTime> mesh_peers;  // peer.value() -> until; gossip walks
     // Source-side state.
     std::uint32_t next_data_seq{0};
     std::uint32_t next_query_seq{1};

@@ -96,6 +96,9 @@ struct NetworkTotals {
   std::uint64_t table_probes{0};
   std::uint64_t pool_hits{0};
   std::uint64_t pool_misses{0};
+  // Bytes held in NodeTable/DenseMap slot arrays when the run ends, net
+  // of what the thread held when the Network was constructed.
+  std::uint64_t table_bytes{0};
   std::uint64_t mac_unicast{0};
   std::uint64_t mac_broadcast{0};
   std::uint64_t mac_collisions{0};

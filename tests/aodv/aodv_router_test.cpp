@@ -1,6 +1,8 @@
 // AODV routing behaviour on hand-built static topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "testutil/stack_fixture.h"
@@ -173,6 +175,36 @@ TEST(AodvRouter, SendToNeighborBypassesRouting) {
   ASSERT_EQ(at1.packets.size(), 1u);
   EXPECT_TRUE(at1.packets[0].is<gossip::NearestMemberMsg>());
   EXPECT_EQ(net.router(0).counters().rreq_originated, 0u);
+}
+
+TEST(AodvRouter, RreqCacheHoldsOnlyTheLastTwoLifetimes) {
+  // Node 0 floods a fresh discovery (to a node that does not exist)
+  // every half second for 60 s, far beyond path_discovery_time (5 s).
+  // Expired dedup entries are purged once per lifetime, so node 1 never
+  // holds more than the RREQs originated in the last two lifetimes (plus
+  // a step of slack for the call that triggers the purge and one more
+  // for RREQs originated on the window's edge).
+  StaticNetwork net{line_positions(3, 80.0)};
+  net.run_for(1.0);
+  const double lifetime_s = net.router(1).params().path_discovery_time.to_seconds();
+  const double step_s = 0.5;
+  const auto window_steps = static_cast<std::size_t>(2.0 * lifetime_s / step_s) + 2;
+  std::vector<std::uint64_t> originated{0};  // per step, cumulative
+  std::size_t largest = 0;
+  for (std::uint32_t i = 0; i < 120; ++i) {
+    net.router(0).send_unicast(routed_probe(0, 1000 + i));
+    net.run_for(step_s);
+    originated.push_back(net.router(0).counters().rreq_originated);
+    const std::size_t from = originated.size() > window_steps + 1
+                                 ? originated.size() - 1 - window_steps
+                                 : 0;
+    const std::uint64_t recent = originated.back() - originated[from];
+    const std::size_t held = net.router(1).rreq_cache_size();
+    ASSERT_LE(held, recent) << "step " << i;
+    largest = std::max(largest, held);
+  }
+  EXPECT_GT(largest, 0u);
+  EXPECT_LT(largest, originated.back() / 2) << "the cache must not keep every RREQ";
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "aodv/neighbor_table.h"
+#include "sim/rng.h"
+
 namespace ag::aodv {
 namespace {
 
@@ -101,6 +108,46 @@ TEST(RouteTable, SameRouteOfferRefreshesLifetime) {
   rt.offer(kDest, net::SeqNo{5}, true, 3, kHopA, sim::SimTime::seconds(15));
   EXPECT_FALSE(rt.offer(kDest, net::SeqNo{5}, true, 3, kHopA, sim::SimTime::seconds(40)));
   EXPECT_NE(rt.find_valid(kDest, sim::SimTime::seconds(30)), nullptr);
+}
+
+// Node ids 0..199 in a seeded random order.
+std::vector<net::NodeId> shuffled_ids(std::uint64_t seed) {
+  std::vector<net::NodeId> ids;
+  for (std::uint32_t k = 0; k < 200; ++k) ids.push_back(net::NodeId{k});
+  sim::Rng rng{seed};
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i)));
+    std::swap(ids[i], ids[j]);
+  }
+  return ids;
+}
+
+TEST(RouteTable, DestsViaIsAscendingAfterRandomOrderInserts) {
+  // RERR contents and invalidation order follow dests_via, so its order
+  // must not depend on insertion order or on the table's slot layout.
+  RouteTable rt;
+  std::vector<net::NodeId> expected;
+  for (const net::NodeId dest : shuffled_ids(7)) {
+    const net::NodeId hop = dest.value() % 3 == 0 ? kHopA : kHopB;
+    rt.offer(dest, net::SeqNo{1}, true, 2, hop, kLater);
+    if (hop == kHopA) expected.push_back(dest);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(rt.dests_via(kHopA), expected);
+}
+
+TEST(NeighborTable, SweepExpiredReturnsAscendingIds) {
+  NeighborTable nt;
+  std::vector<net::NodeId> expected;
+  for (const net::NodeId id : shuffled_ids(11)) {
+    const bool stale = id.value() % 4 != 0;
+    nt.heard(id, stale ? kT0 : kLater);
+    if (stale) expected.push_back(id);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(nt.sweep_expired(sim::SimTime::seconds(15)), expected);
+  EXPECT_EQ(nt.size(), 50u);
+  EXPECT_TRUE(nt.sweep_expired(sim::SimTime::seconds(15)).empty());
 }
 
 }  // namespace

@@ -167,6 +167,7 @@ stats::RunResult synthetic_run(std::uint64_t k) {
   t.table_probes = 100 * k;
   t.pool_hits = 3 * k;
   t.pool_misses = k;
+  t.table_bytes = 1000 * k + 1;
   t.sessions.sessions = k;
   t.sessions.users_served = k;
   t.sessions.user_eligible = 2 * k;
@@ -282,8 +283,10 @@ TEST(PointMetrics, EachSinkEmitsItsDeclaredKeysInOrder) {
             concat(figure_core, kAdversaryKeys));
   EXPECT_EQ(keys_written(synthetic_point(true, true), Sink::figure),
             concat(concat(figure_core, kDtnKeys), kAdversaryKeys));
-  // The bench sinks carry their rows unconditionally.
-  EXPECT_EQ(keys_written(off, Sink::scale), concat(bench_core, kPhyAndDataPlane));
+  // The bench sinks carry their rows unconditionally; table_bytes goes
+  // to the scale sink only.
+  EXPECT_EQ(keys_written(off, Sink::scale),
+            concat(concat(bench_core, kPhyAndDataPlane), {"table_bytes"}));
   EXPECT_EQ(keys_written(off, Sink::dtn), concat(bench_core, kDtnKeys));
   EXPECT_EQ(keys_written(off, Sink::adversary), concat(bench_core, kAdversaryKeys));
 }
@@ -297,7 +300,7 @@ TEST(PointMetrics, FieldsUseTheCallersPrecision) {
             ", \"received_mean\": 3.5, \"delivery_ratio\": 0.35, "
             "\"transmissions\": 3, \"deliveries\": 36, \"suppressed_down\": 5, "
             "\"suppressed_partition\": 7, \"table_probes\": 350, \"pool_hits\": 10, "
-            "\"pool_misses\": 3");
+            "\"pool_misses\": 3, \"table_bytes\": 3501");
 }
 
 TEST_F(AtomicFileTest, AtomicFileCommitsOrLeavesNothing) {

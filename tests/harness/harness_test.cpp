@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "harness/experiment_builder.h"
@@ -116,6 +118,41 @@ TEST(Figure, CsvRoundTrip) {
   ASSERT_NE(std::fgets(buf, sizeof buf, f), nullptr);
   EXPECT_STREQ(buf, "45,100.5,90,110\n");
   std::fclose(f);
+}
+
+TEST(Figure, TableColumnsLineUp) {
+  // Two series with names of different lengths and an x label longer
+  // than the default x column: every `|` must sit in the same column on
+  // every line of the table.
+  std::vector<FigureSeries> series{{"maodv_gossip", {}}, {"odmrp", {}}};
+  for (const double x : {0.0, 0.25, 1000.0}) {
+    SeriesPoint p;
+    p.x = x;
+    p.received.mean = 2102.5;
+    p.received.min = 1218;
+    p.received.max = 2800;
+    p.mean_goodput_pct = 87.25;
+    p.mean_transmissions = 123456;
+    for (FigureSeries& s : series) s.points.push_back(p);
+  }
+  const std::string table = format_figure("Alignment", "a_long_x_label_name", series);
+  std::vector<std::vector<std::size_t>> bars;
+  std::size_t start = 0;
+  while (start < table.size()) {
+    const std::size_t end = table.find('\n', start);
+    ASSERT_NE(end, std::string::npos) << "table must end with a newline";
+    const std::string line = table.substr(start, end - start);
+    start = end + 1;
+    if (line.rfind("==", 0) == 0) continue;  // the title
+    std::vector<std::size_t> cols;
+    for (std::size_t c = line.find('|'); c != std::string::npos; c = line.find('|', c + 1)) {
+      cols.push_back(c);
+    }
+    bars.push_back(cols);
+  }
+  ASSERT_EQ(bars.size(), 2u + 3u);  // name line, column labels, three rows
+  ASSERT_EQ(bars.front().size(), series.size());
+  for (const std::vector<std::size_t>& cols : bars) EXPECT_EQ(cols, bars.front());
 }
 
 TEST(Network, MembersAreFirstThirdAndSourceIsMemberZero) {

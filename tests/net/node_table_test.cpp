@@ -20,36 +20,36 @@ namespace ag::net {
 namespace {
 
 TEST(NodeTable, InsertFindEraseRoundTrip) {
-  NodeTable<int> t;
+  NodeTable<int, GroupId> t;
   EXPECT_TRUE(t.empty());
-  EXPECT_EQ(t.find(NodeId{3}), nullptr);
+  EXPECT_EQ(t.find(GroupId{3}), nullptr);
 
-  t[NodeId{3}] = 30;
-  auto [v, inserted] = t.try_emplace(NodeId{100}, 7);
+  t[GroupId{3}] = 30;
+  auto [v, inserted] = t.try_emplace(GroupId{100}, 7);
   EXPECT_TRUE(inserted);
   EXPECT_EQ(*v, 7);
-  auto [again, second] = t.try_emplace(NodeId{100}, 99);
+  auto [again, second] = t.try_emplace(GroupId{100}, 99);
   EXPECT_FALSE(second);
   EXPECT_EQ(*again, 7) << "try_emplace must not clobber";
 
   EXPECT_EQ(t.size(), 2u);
-  ASSERT_NE(t.find(NodeId{3}), nullptr);
-  EXPECT_EQ(*t.find(NodeId{3}), 30);
-  EXPECT_TRUE(t.erase(NodeId{3}));
-  EXPECT_FALSE(t.erase(NodeId{3})) << "double erase";
+  ASSERT_NE(t.find(GroupId{3}), nullptr);
+  EXPECT_EQ(*t.find(GroupId{3}), 30);
+  EXPECT_TRUE(t.erase(GroupId{3}));
+  EXPECT_FALSE(t.erase(GroupId{3})) << "double erase";
   EXPECT_EQ(t.size(), 1u);
   t.clear();
   EXPECT_TRUE(t.empty());
 }
 
 TEST(NodeTable, IterationIsAscending) {
-  NodeTable<int> t;
+  NodeTable<int, GroupId> t;
   // Insert deliberately out of order, spanning several bitmap words.
   for (const std::uint32_t k : {200u, 5u, 130u, 0u, 64u, 63u, 65u}) {
-    t[NodeId{k}] = static_cast<int>(k);
+    t[GroupId{k}] = static_cast<int>(k);
   }
   std::vector<std::uint32_t> keys;
-  t.for_each([&](NodeId id, int& v) {
+  t.for_each([&](GroupId id, int& v) {
     keys.push_back(id.value());
     EXPECT_EQ(v, static_cast<int>(id.value()));
   });
@@ -57,26 +57,26 @@ TEST(NodeTable, IterationIsAscending) {
 }
 
 TEST(NodeTable, EraseIfVisitsAscendingAndErases) {
-  NodeTable<int> t;
-  for (std::uint32_t k = 0; k < 40; ++k) t[NodeId{k}] = static_cast<int>(k);
+  NodeTable<int, GroupId> t;
+  for (std::uint32_t k = 0; k < 40; ++k) t[GroupId{k}] = static_cast<int>(k);
   std::vector<std::uint32_t> visited;
-  const std::size_t erased = t.erase_if([&](NodeId id, int& v) {
+  const std::size_t erased = t.erase_if([&](GroupId id, int& v) {
     visited.push_back(id.value());
     return v % 2 == 0;
   });
   EXPECT_EQ(erased, 20u);
   EXPECT_EQ(t.size(), 20u);
   EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
-  EXPECT_FALSE(t.contains(NodeId{0}));
-  EXPECT_TRUE(t.contains(NodeId{1}));
+  EXPECT_FALSE(t.contains(GroupId{0}));
+  EXPECT_TRUE(t.contains(GroupId{1}));
 }
 
 TEST(NodeTable, ErasedSlotsReleaseCapturedState) {
   // erase() must reset the slot to T{} so captured resources free eagerly.
-  NodeTable<std::vector<int>> t;
-  t[NodeId{1}] = std::vector<int>(1000, 7);
-  EXPECT_TRUE(t.erase(NodeId{1}));
-  EXPECT_TRUE(t[NodeId{1}].empty());  // re-created slot starts from T{}
+  NodeTable<std::vector<int>, GroupId> t;
+  t[GroupId{1}] = std::vector<int>(1000, 7);
+  EXPECT_TRUE(t.erase(GroupId{1}));
+  EXPECT_TRUE(t[GroupId{1}].empty());  // re-created slot starts from T{}
 }
 
 TEST(IdSet, SetSemantics) {
@@ -126,6 +126,72 @@ TEST(DenseMap, EraseIfPurgesMatchingEntries) {
   EXPECT_FALSE(m.contains(99));
 }
 
+TEST(DenseMap, FindPointersSurviveHitsAtHighTombstoneLoad) {
+  // 11 inserts fill the initial 16 slots to just under the 70% load
+  // limit; erasing 5 leaves 6 live entries and 5 tombstones, so the load
+  // is at the limit. try_emplace of an existing key is a hit and must not
+  // rebuild the table: every pointer from find() stays valid.
+  DenseMap<int> m;
+  for (std::uint64_t k = 0; k < 11; ++k) m[k] = static_cast<int>(k);
+  for (std::uint64_t k = 0; k < 5; ++k) ASSERT_TRUE(m.erase(k));
+  std::vector<int*> held;
+  for (std::uint64_t k = 5; k < 11; ++k) held.push_back(m.find(k));
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t k = 5; k < 11; ++k) {
+      const auto [v, inserted] = m.try_emplace(k, -1);
+      EXPECT_FALSE(inserted);
+      EXPECT_EQ(v, held[k - 5]) << "key " << k;
+      (void)m[k];
+    }
+  }
+  for (std::uint64_t k = 5; k < 11; ++k) {
+    EXPECT_EQ(m.find(k), held[k - 5]) << "key " << k;
+    EXPECT_EQ(*held[k - 5], static_cast<int>(k));
+  }
+}
+
+TEST(DenseMap, ForEachVisitsEveryLiveEntryOnce) {
+  DenseMap<int> m;
+  for (std::uint64_t k = 0; k < 300; ++k) m[k * 7] = static_cast<int>(k);
+  for (std::uint64_t k = 0; k < 300; k += 3) m.erase(k * 7);
+  std::vector<std::uint64_t> keys;
+  m.for_each([&](std::uint64_t key, int& v) {
+    EXPECT_EQ(key, static_cast<std::uint64_t>(v) * 7);
+    keys.push_back(key);
+  });
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    if (k % 3 != 0) expected.push_back(k * 7);
+  }
+  EXPECT_EQ(keys, expected);
+}
+
+TEST(DenseMap, SlotArrayFollowsLiveEntries) {
+  // table_bytes tracks the slot array: it grows with inserts, shrinks
+  // back once a purge has emptied the table and churn forces a rebuild,
+  // and returns to the baseline when the map is cleared or destroyed.
+  const std::uint64_t before = data_plane_counters().table_bytes;
+  {
+    DenseMap<std::uint64_t> m;
+    for (std::uint64_t k = 0; k < 1000; ++k) m[k] = k;
+    const std::uint64_t full = data_plane_counters().table_bytes - before;
+    EXPECT_GE(full, 1000u * 2 * sizeof(std::uint64_t));
+    m.erase_if([](std::uint64_t k, std::uint64_t&) { return k >= 10; });
+    for (std::uint64_t k = 1000; k < 3000; ++k) {
+      m[k] = k;
+      m.erase(k);
+    }
+    EXPECT_EQ(m.size(), 10u);
+    EXPECT_LT(data_plane_counters().table_bytes - before, full / 8);
+    m.clear();
+    EXPECT_EQ(data_plane_counters().table_bytes, before);
+    m[1] = 1;
+    EXPECT_GT(data_plane_counters().table_bytes, before);
+  }
+  EXPECT_EQ(data_plane_counters().table_bytes, before);
+}
+
 TEST(DenseSet, MsgIdKeysRoundTrip) {
   DenseSet s;
   const MsgId a{NodeId{7}, 3};
@@ -147,13 +213,13 @@ TEST(DenseSet, MsgIdKeysRoundTrip) {
 TEST(NodeTableDifferential, MatchesStdMapOnRandomOps) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     sim::Rng rng{seed};
-    NodeTable<int> t;
+    NodeTable<int, GroupId> t;
     std::map<std::uint32_t, int> model;
-    IdSet<NodeId> set;
+    IdSet<GroupId> set;
     std::set<std::uint32_t> set_model;
     for (int op = 0; op < 20000; ++op) {
       const auto k = static_cast<std::uint32_t>(rng.uniform_int(0, 319));
-      const NodeId id{k};
+      const GroupId id{k};
       const int value = static_cast<int>(rng.uniform_int(-1000, 1000));
       const std::int64_t roll = rng.uniform_int(0, 99);
       SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op << " roll "
@@ -187,7 +253,7 @@ TEST(NodeTableDifferential, MatchesStdMapOnRandomOps) {
         };
         std::vector<std::uint32_t> visited;
         std::vector<std::uint32_t> model_visited;
-        const std::size_t erased = t.erase_if([&](NodeId key, int& v) {
+        const std::size_t erased = t.erase_if([&](GroupId key, int& v) {
           visited.push_back(key.value());
           return pred(key.value(), v);
         });
@@ -208,11 +274,11 @@ TEST(NodeTableDifferential, MatchesStdMapOnRandomOps) {
       ASSERT_EQ(set.size(), set_model.size());
       if (op % 64 == 0) {
         std::vector<std::pair<std::uint32_t, int>> seen;
-        t.for_each([&seen](NodeId key, const int& v) { seen.emplace_back(key.value(), v); });
+        t.for_each([&seen](GroupId key, const int& v) { seen.emplace_back(key.value(), v); });
         ASSERT_EQ(seen, (std::vector<std::pair<std::uint32_t, int>>{model.begin(),
                                                                     model.end()}));
         std::vector<std::uint32_t> members;
-        set.for_each([&members](NodeId key) { members.push_back(key.value()); });
+        set.for_each([&members](GroupId key) { members.push_back(key.value()); });
         ASSERT_EQ(members, (std::vector<std::uint32_t>{set_model.begin(), set_model.end()}));
       }
     }
@@ -223,7 +289,7 @@ TEST(NodeTableDifferential, MatchesStdMapOnRandomOps) {
 // unspecified, so erase_if compares the erased key sets and then the full
 // contents. The live-size target swings from 400 down to 40, so the
 // table doubles several times and then, churning fresh keys at low load,
-// rebuilds at the same size to clear its tombstones.
+// rebuilds smaller to clear its tombstones.
 TEST(DenseMapDifferential, MatchesStdMapOnRandomOps) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     sim::Rng rng{seed};
@@ -321,15 +387,15 @@ TEST(DataPlaneCounters, EveryTableOperationIsOneProbe) {
   // The probe counter counts logical API calls, not probe steps: each
   // find/try_emplace/erase (and operator[], via try_emplace) is one.
   const std::uint64_t before = data_plane_counters().table_probes;
-  NodeTable<int> t;
+  NodeTable<int, GroupId> t;
   DenseMap<int> m;
   for (std::uint32_t k = 0; k < 50; ++k) {
-    t[NodeId{k}] = 1;
-    (void)t.find(NodeId{k});
+    t[GroupId{k}] = 1;
+    (void)t.find(GroupId{k});
     m[k] = 1;
     (void)m.find(k);
   }
-  t.erase(NodeId{0});
+  t.erase(GroupId{0});
   m.erase(0);
   EXPECT_EQ(data_plane_counters().table_probes - before, 4u * 50u + 2u);
 }
