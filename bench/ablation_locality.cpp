@@ -18,8 +18,9 @@ int main(int argc, char** argv) {
                    [](harness::ScenarioConfig& c, double x) { c.gossip.locality_alpha = x; },
                    harness::seeds_from_env(2),
                    bench::protocols_from_cli(argc, argv, {harness::Protocol::maodv_gossip})};
+  constexpr double kRanges[] = {45.0, 55.0, 75.0};
   constexpr double kAlphas[] = {2.0, 0.0};
-  for (const double range : {45.0, 55.0, 75.0}) {
+  for (const double range : kRanges) {
     harness::ScenarioConfig base;
     base.with_range(range).with_max_speed(0.2);
     for (const double alpha : kAlphas) {
@@ -27,15 +28,19 @@ int main(int argc, char** argv) {
       std::snprintf(label, sizeof label, "range=%g alpha=%g", range, alpha);
       std::ostringstream fields;
       fields << ", \"range_m\": " << range << ", \"locality_alpha\": " << alpha;
-      grid.run(label, fields.str(), base, alpha);
+      grid.add(label, fields.str(), base, alpha);
     }
+  }
+  grid.run();
+  for (std::size_t r = 0; r < std::size(kRanges); ++r) {
     char title[96];
     std::snprintf(title, sizeof title,
-                  "Ablation: nearest-member locality bias (section 4.2), range %g m", range);
-    grid.print_last(std::size(kAlphas), title, "alpha");
+                  "Ablation: nearest-member locality bias (section 4.2), range %g m",
+                  kRanges[r]);
+    grid.print(r * std::size(kAlphas), std::size(kAlphas), title, "alpha");
   }
 
-  if (!grid.write_json("BENCH_ablation_locality.json", "", harness::Sink::figure)) {
+  if (!grid.write_json("BENCH_ablation_locality.json")) {
     std::fprintf(stderr, "error: failed to write BENCH_ablation_locality.json\n");
     return 1;
   }

@@ -2,8 +2,8 @@
 // transmission range scaled as r = 75·sqrt(40/n) so the mean neighbor
 // count stays constant (the paper's "average number of neighbors ...
 // approximately the same" experiment; the 40-node anchor of 75 m is our
-// documented assumption — see DESIGN.md). Expected: gradual decline as
-// routes get longer and link failures more frequent.
+// assumption — see ARCHITECTURE.md "Model simplifications"). Expected:
+// gradual decline as routes get longer and link failures more frequent.
 #include <cmath>
 
 #include "figure_common.h"

@@ -20,10 +20,9 @@ bool write_member_csv(const char* path, const ag::bench::Grid& grid) {
   ag::harness::AtomicFile file{path};
   if (!file.ok()) return false;
   file.stream() << "protocol,range,speed,member,goodput_pct\n";
-  for (std::size_t s = 0; s < grid.protocols.size(); ++s) {
+  for (const ag::harness::FigureSeries& series : grid.result.series) {
     for (std::size_t c = 0; c < grid.cells.size(); ++c) {
-      const ag::harness::FigureSeries& series = grid.cells[c].run.result.series[s];
-      const ag::harness::SeriesPoint& p = series.points.front();
+      const ag::harness::SeriesPoint& p = series.points[c];
       std::vector<double> sums(p.runs.front().members.size(), 0.0);
       for (const ag::stats::RunResult& r : p.runs) {
         for (std::size_t i = 0; i < r.members.size(); ++i) {
@@ -64,15 +63,19 @@ int main(int argc, char** argv) {
       std::snprintf(label, sizeof label, "speed=%g range=%g", speed, range);
       std::ostringstream fields;
       fields << ", \"max_speed_mps\": " << speed << ", \"range_m\": " << range;
-      grid.run(label, fields.str(), base, range);
+      grid.add(label, fields.str(), base, range);
     }
+  }
+  grid.run();
+  for (std::size_t v = 0; v < std::size(kSpeeds); ++v) {
     char title[64];
-    std::snprintf(title, sizeof title, "Figure 8: Gossip goodput, max speed %g m/s", speed);
-    grid.print_last(std::size(kRanges), title, "range(m)");
+    std::snprintf(title, sizeof title, "Figure 8: Gossip goodput, max speed %g m/s",
+                  kSpeeds[v]);
+    grid.print(v * std::size(kRanges), std::size(kRanges), title, "range(m)");
   }
 
   const bool csv_ok = write_member_csv("fig8.csv", grid);
-  if (!csv_ok || !grid.write_json("BENCH_fig8.json", "", harness::Sink::figure)) {
+  if (!csv_ok || !grid.write_json("BENCH_fig8.json")) {
     std::fprintf(stderr, "error: failed to write %s\n",
                  csv_ok ? "BENCH_fig8.json" : "fig8.csv");
     return 1;

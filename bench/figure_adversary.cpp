@@ -5,10 +5,10 @@
 // isolated: every delivery delta against the fraction=0 column is the
 // adversaries' (or the trust layer's) doing.
 //
-// Each cell is a single-value sweep timed like figure_dtn, so
-// BENCH_adversary.json doubles as a perf record; per-series adversary
-// counters (absorbed, poisoned, isolations, false positives, detection
-// latency) land next to the delivery numbers.
+// Every cell runs on one thread pool, and BENCH_adversary.json records
+// the host seconds each cell's runs took, so it doubles as a perf
+// record; per-series adversary counters (absorbed, poisoned, isolations,
+// false positives, detection latency) land next to the delivery numbers.
 //
 // Usage: figure_adversary [--smoke] [--protocols=name,name]
 //   --smoke shrinks the grid for CI: 2 modes x {0, 0.2, 0.35} x both
@@ -116,30 +116,31 @@ int main(int argc, char** argv) {
         char label[96];
         std::snprintf(label, sizeof label, "mode=%s isolation=%s fraction=%g",
                       mode.name, isolation ? "on" : "off", fraction);
-        std::printf("-- %s --\n", label);
-        std::fflush(stdout);
         std::ostringstream fields;
         fields << ", \"mode\": \"" << mode.name << "\""
                << ", \"isolation\": " << (isolation ? "true" : "false")
                << ", \"adversary_fraction\": " << fraction;
-        for (const harness::FigureSeries& s :
-             grid.run(label, fields.str(), cell_base, fraction).series) {
-          const harness::SeriesPoint& p = s.points.front();
-          std::printf("  %-16s delivery=%.3f adversaries=%llu absorbed=%llu "
-                      "poisoned=%llu isolated=%.1f fp=%.1f latency=%.1fs\n",
-                      s.name.c_str(), p.mean_delivery_ratio,
-                      static_cast<unsigned long long>(p.mean_adversary_nodes),
-                      static_cast<unsigned long long>(p.mean_adversary_absorbed),
-                      static_cast<unsigned long long>(p.mean_adversary_poisoned),
-                      p.mean_trust_isolations, p.mean_trust_false_positives,
-                      p.mean_detection_latency_s);
-        }
-        std::fflush(stdout);
+        grid.add(label, fields.str(), cell_base, fraction);
       }
     }
   }
+  grid.run();
+  for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+    std::printf("-- %s --\n", grid.cells[i].label.c_str());
+    for (const harness::FigureSeries& s : grid.result.series) {
+      const harness::SeriesPoint& p = s.points[i];
+      std::printf("  %-16s delivery=%.3f adversaries=%llu absorbed=%llu "
+                  "poisoned=%llu isolated=%.1f fp=%.1f latency=%.1fs\n",
+                  s.name.c_str(), p.mean_delivery_ratio,
+                  static_cast<unsigned long long>(p.mean_adversary_nodes),
+                  static_cast<unsigned long long>(p.mean_adversary_absorbed),
+                  static_cast<unsigned long long>(p.mean_adversary_poisoned),
+                  p.mean_trust_isolations, p.mean_trust_false_positives,
+                  p.mean_detection_latency_s);
+    }
+  }
 
-  if (!grid.write_json("BENCH_adversary.json", "", harness::Sink::adversary)) {
+  if (!grid.write_json("BENCH_adversary.json")) {
     std::fprintf(stderr, "error: failed to write BENCH_adversary.json\n");
     return 1;
   }

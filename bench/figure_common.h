@@ -1,19 +1,19 @@
 // Shared plumbing for the figure and ablation benches: CLI flags, the
-// single-axis sweep helper (run_figure) and the grid of single-value
-// sweeps (Grid), all built on the fluent ExperimentBuilder (seeds run in
-// parallel; results land as a table, a CSV, and a machine-readable
+// single-axis sweep helper (run_figure) and the grid of cells (Grid),
+// both built on the fluent ExperimentBuilder (every run on one thread
+// pool; results land as a table, a CSV, and a machine-readable
 // BENCH_<name>.json).
 #ifndef AG_BENCH_FIGURE_COMMON_H
 #define AG_BENCH_FIGURE_COMMON_H
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <iomanip>
+#include <numeric>
 #include <ostream>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +23,8 @@
 #include "harness/figure.h"
 #include "harness/protocol_registry.h"
 #include "harness/scenario.h"
+#include "sim/event_category.h"
+#include "stats/run_result.h"
 
 namespace ag::bench {
 
@@ -99,59 +101,30 @@ inline int finish_figure(const harness::ExperimentResult& result, const std::str
   return 0;
 }
 
-// A sweep run in-process, with the wall-clock seconds it took (all of
-// its parallel jobs together).
-struct TimedResult {
-  harness::ExperimentResult result;
-  double wall_s;
-};
-
-inline TimedResult timed_run(const harness::ExperimentBuilder& builder) {
-  // ag-lint: allow(determinism, wall-clock measures the harness itself)
-  const auto t0 = std::chrono::steady_clock::now();
-  harness::ExperimentResult result = builder.run();
-  // ag-lint: allow(determinism, wall-clock measures the harness itself)
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
-  return {std::move(result), wall.count()};
+// Progress callback for a sweep: prints `  [<label> done/total runs]`
+// after each run.
+inline auto progress_printer(std::string label) {
+  return [label = std::move(label)](std::size_t done, std::size_t total) {
+    std::printf("  [%s %zu/%zu runs]\n", label.c_str(), done, total);
+    std::fflush(stdout);
+  };
 }
 
-// Simulator events executed behind a result, summed over every run.
-inline std::uint64_t total_sim_events(const harness::ExperimentResult& result) {
-  std::uint64_t events = 0;
-  for (const harness::FigureSeries& s : result.series) {
-    for (const harness::SeriesPoint& p : s.points) {
-      for (const stats::RunResult& r : p.runs) events += r.totals.sim_events;
-    }
-  }
-  return events;
-}
-
-// Writes the per-series lines of one grid cell (a single-value sweep, so
-// one point per series): `{"name": ..., <write_point_fields(sink)>}`,
-// comma-separated, one per line.
-inline void write_cell_series(std::ostream& out, const harness::ExperimentResult& result,
-                              harness::Sink sink) {
-  for (std::size_t s = 0; s < result.series.size(); ++s) {
-    const harness::FigureSeries& series = result.series[s];
-    out << "      {\"name\": \"" << series.name << "\"";
-    harness::write_point_fields(out, series.points.front(), sink);
-    out << "}" << (s + 1 < result.series.size() ? "," : "") << "\n";
-  }
-}
-
-// One cell of a grid bench: a timed single-value sweep over every
-// protocol, plus the cell's own JSON fields pre-rendered as
-// `, "key": value` pairs.
+// One cell of a grid bench: its label, its own JSON fields pre-rendered
+// as `, "key": value` pairs, its x, and the config it runs (the cell's
+// base with `param` = x applied).
 struct GridCell {
   std::string label;
   std::string fields;
-  std::size_t nodes;
-  TimedResult run;
+  double x;
+  harness::ScenarioConfig config;
 };
 
 // A grid bench (fig8_goodput, ablation_locality, figure_dtn,
-// figure_adversary): one cell per combination of its outer axes, each a
-// timed sweep of the single value `param` = x over every protocol.
+// figure_adversary, scale_smoke): one cell per combination of its outer
+// axes, each the value x of `param` on the cell's own base config.
+// run() runs every (protocol, cell, seed) job as one sweep on one
+// thread pool.
 struct Grid {
   std::string experiment;
   std::string param;
@@ -159,54 +132,108 @@ struct Grid {
   std::uint32_t seeds;
   std::vector<harness::Protocol> protocols;
   std::vector<GridCell> cells{};
+  // Set by run(): one series per protocol, point i belonging to cell i.
+  harness::ExperimentResult result{};
 
-  // Runs `param` = x on `base` as the next cell; returns its result.
-  const harness::ExperimentResult& run(std::string label, std::string fields,
-                                       const harness::ScenarioConfig& base, double x) {
-    cells.push_back({std::move(label), std::move(fields), base.node_count,
-                     timed_run(harness::Experiment::sweep(param, {x}, apply)
-                                   .base(base)
-                                   .protocols(protocols)
-                                   .seeds(seeds)
-                                   .parallel()
-                                   .name(experiment))});
-    return cells.back().run.result;
+  // Adds a cell that runs `param` = x on `base`.
+  void add(std::string label, std::string fields, harness::ScenarioConfig base, double x) {
+    apply(base, x);
+    cells.push_back({std::move(label), std::move(fields), x, std::move(base)});
   }
 
-  // Prints the last `n` cells, which differ only in x, as one figure
-  // table with a row per cell.
-  void print_last(std::size_t n, const std::string& title, const std::string& x_label) const {
-    const std::span<const GridCell> last = std::span(cells).last(n);
-    std::vector<harness::FigureSeries> series = last.front().run.result.series;
-    for (const GridCell& cell : last.subspan(1)) {
-      for (std::size_t s = 0; s < series.size(); ++s) {
-        series[s].points.push_back(cell.run.result.series[s].points.front());
-      }
+  // Runs all cells as one sweep over the cell indices, printing
+  // progress; each point then carries its cell's x.
+  void run() {
+    std::vector<double> indices(cells.size());
+    std::iota(indices.begin(), indices.end(), 0.0);
+    result = harness::Experiment::sweep(param, std::move(indices),
+                                        [this](harness::ScenarioConfig& c, double i) {
+                                          c = cells[static_cast<std::size_t>(i)].config;
+                                        })
+                 .protocols(protocols)
+                 .seeds(seeds)
+                 .parallel()
+                 .name(experiment)
+                 .on_progress(progress_printer(experiment))
+                 .run();
+    for (harness::FigureSeries& s : result.series) {
+      for (std::size_t i = 0; i < cells.size(); ++i) s.points[i].x = cells[i].x;
     }
-    harness::print_figure(title, x_label, series);
+  }
+
+  // Prints cells [first, first + n), which differ only in x, as one
+  // figure table with a row per cell.
+  void print(std::size_t first, std::size_t n, const std::string& title,
+             const std::string& x_label) const {
+    std::vector<harness::FigureSeries> rows;
+    for (const harness::FigureSeries& s : result.series) {
+      const auto begin = s.points.begin() + static_cast<std::ptrdiff_t>(first);
+      rows.push_back({s.name, {begin, begin + static_cast<std::ptrdiff_t>(n)}});
+    }
+    harness::print_figure(title, x_label, rows);
+  }
+
+  // Host seconds of cell i's runs (every protocol and seed), summed.
+  [[nodiscard]] double run_s(std::size_t i) const {
+    double seconds = 0.0;
+    for (const harness::FigureSeries& s : result.series) seconds += s.points[i].host_s;
+    return seconds;
+  }
+
+  // `value(totals)` summed over cell i's runs (every protocol and seed).
+  template <typename Value>
+  [[nodiscard]] std::uint64_t total(std::size_t i, Value value) const {
+    std::uint64_t sum = 0;
+    for (const harness::FigureSeries& s : result.series) {
+      for (const stats::RunResult& r : s.points[i].runs) sum += value(r.totals);
+    }
+    return sum;
   }
 
   // Writes {"experiment", "param", "seeds", <header_fields>, "points":
-  // [...]}, where each point carries its label, node count and own
-  // fields, wall clock, executed sim_events and events/sec, then one line
-  // per series with the `sink` fields.
-  [[nodiscard]] bool write_json(const std::string& path, const std::string& header_fields,
-                                harness::Sink sink) const {
+  // [...]} at 12 significant digits, a point per cell: its label, node
+  // count and own fields; run_s (run_s(i)), the executed sim_events and
+  // sim_events / run_s; the elision counters and the per-category event
+  // mix summed over its runs; then a line per series with the grid-sink
+  // point fields.
+  [[nodiscard]] bool write_json(const std::string& path,
+                                const std::string& header_fields = "") const {
     harness::AtomicFile file{path};
     if (!file.ok()) return false;
     std::ostream& out = file.stream();
+    out << std::setprecision(12);
     out << "{\n  \"experiment\": \"" << experiment << "\",\n  \"param\": \"" << param
         << "\",\n  \"seeds\": " << seeds << ",\n" << header_fields << "  \"points\": [\n";
+    using Totals = stats::NetworkTotals;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      const GridCell& cell = cells[i];
-      const std::uint64_t events = total_sim_events(cell.run.result);
-      const double wall_s = cell.run.wall_s;
-      out << "    {\"label\": \"" << cell.label << "\", \"nodes\": " << cell.nodes
-          << cell.fields << ", \"wall_clock_s\": " << wall_s
+      const double seconds = run_s(i);
+      const std::uint64_t events = total(i, [](const Totals& t) { return t.sim_events; });
+      out << "    {\"label\": \"" << cells[i].label << "\", \"nodes\": "
+          << cells[i].config.node_count << cells[i].fields << ", \"run_s\": " << seconds
           << ", \"sim_events\": " << events << ", \"events_per_sec\": "
-          << (wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0)
-          << ", \"series\": [\n";
-      write_cell_series(out, cell.run.result, sink);
+          << (seconds > 0.0 ? static_cast<double>(events) / seconds : 0.0)
+          << ", \"mac_slots_elided\": "
+          << total(i, [](const Totals& t) { return t.mac_slots_elided(); })
+          << ", \"mac_difs_elided\": "
+          << total(i, [](const Totals& t) { return t.mac_difs_elided; })
+          << ", \"phy_rx_elided\": "
+          << total(i, [](const Totals& t) { return t.phy_rx_elided; })
+          << ", \"phy_rx_coalesced\": "
+          << total(i, [](const Totals& t) { return t.phy_rx_coalesced; })
+          << ", \"event_mix\": {";
+      for (std::size_t c = 0; c < sim::kEventCategoryCount; ++c) {
+        out << (c > 0 ? ", " : "") << "\"" << sim::event_category_name(c)
+            << "\": {\"scheduled\": "
+            << total(i, [c](const Totals& t) { return t.ev_scheduled[c]; })
+            << ", \"executed\": "
+            << total(i, [c](const Totals& t) { return t.ev_executed[c]; }) << "}";
+      }
+      out << "}, \"series\": [\n";
+      for (std::size_t s = 0; s < result.series.size(); ++s) {
+        out << "      {\"name\": \"" << result.series[s].name << "\"";
+        harness::write_point_fields(out, result.series[s].points[i], harness::Sink::grid);
+        out << "}" << (s + 1 < result.series.size() ? "," : "") << "\n";
+      }
       out << "    ]}" << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -233,10 +260,7 @@ inline int run_figure(int argc, char** argv, const std::string& title,
           .seeds(seeds)
           .parallel()
           .name(name)
-          .on_progress([&title](std::size_t done, std::size_t total) {
-            std::printf("  [%s %zu/%zu runs]\n", title.c_str(), done, total);
-            std::fflush(stdout);
-          });
+          .on_progress(progress_printer(title));
   return finish_figure(builder.run(), title, x_label);
 }
 

@@ -9,14 +9,13 @@
 // plain protocols miss. budget=0 is the custody-off baseline in-figure.
 //
 // Runs every registered protocol by default (custody is a decorator, so
-// all five substrates get the tier for free). At full scale the paper's
-// 40-node area is kept; --mega instead runs 10000 nodes with every node
-// a member, i.e. 10000 x 200 = 2M logical users, as a scale exercise.
+// all five substrates get the tier for free) in the paper's 40-node
+// area. Every (duty, churn, budget) cell runs on one thread pool, and
+// BENCH_dtn.json records the host seconds each cell's runs took, so it
+// doubles as a perf record for the custody tier.
 //
-// Usage: figure_dtn [--smoke] [--mega] [--protocols=name,name]
+// Usage: figure_dtn [--smoke] [--protocols=name,name]
 //   --smoke shrinks the grid for CI (short duration, 2x1x2 grid).
-//   --mega  10k nodes / 2M users, one cell (implies the smoke duration).
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -31,11 +30,9 @@ int main(int argc, char** argv) {
       "Custody-tier figure: users served under duty-cycled sessions, swept\n"
       "over custody budget x duty cycle x churn (all registered protocols).",
       "  custody_max_msgs = {0,16,64,256} x session duty x churn_per_min",
-      "  --smoke           2x1x2 grid, short duration (CI)\n"
-      "  --mega            10k nodes / 2M logical users, one cell\n");
+      "  --smoke           2x1x2 grid, short duration (CI)\n");
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
-  const bool mega = bench::has_flag(argc, argv, "--mega");
-  const std::uint32_t seeds = harness::seeds_from_env(smoke || mega ? 1 : 2);
+  const std::uint32_t seeds = harness::seeds_from_env(smoke ? 1 : 2);
   const std::vector<harness::Protocol> protocols = bench::protocols_from_cli(
       argc, argv, harness::ProtocolRegistry::instance().all());
   constexpr std::uint32_t kSessionsPerNode = 200;
@@ -46,10 +43,10 @@ int main(int argc, char** argv) {
   harness::ScenarioConfig base;
   base.with_range(65.0).with_max_speed(1.0);
   base.faults.spec.crash_fraction = 0.15;
-  base.faults.spec.crash_downtime_s = smoke || mega ? 20.0 : 60.0;
-  base.faults.spec.partition_duration_s = smoke || mega ? 20.0 : 60.0;
-  base.faults.spec.churn_downtime_s = smoke || mega ? 15.0 : 30.0;
-  if (smoke || mega) {
+  base.faults.spec.crash_downtime_s = smoke ? 20.0 : 60.0;
+  base.faults.spec.partition_duration_s = smoke ? 20.0 : 60.0;
+  base.faults.spec.churn_downtime_s = smoke ? 15.0 : 30.0;
+  if (smoke) {
     base.duration = sim::SimTime::seconds(120.0);
     base.workload.start = sim::SimTime::seconds(20.0);
     base.workload.end = sim::SimTime::seconds(100.0);
@@ -59,33 +56,21 @@ int main(int argc, char** argv) {
   base.sessions.per_node = kSessionsPerNode;
   base.sessions.period_s = 60.0;
   base.sessions.wake_ttl_s = 30.0;
-  base.sessions.subscribe_spread_s = smoke || mega ? 40.0 : 200.0;
+  base.sessions.subscribe_spread_s = smoke ? 40.0 : 200.0;
   // Custody shape (the budget axis only sweeps max_messages): two
   // gateway nodes bridge the partition cut with 4x the per-node budget.
   base.custody.gateway_count = 2;
-  if (mega) {
-    // 10000 nodes, every node a member: 10000 x 200 = 2M logical users.
-    // Range scales as in scale_smoke to hold mean degree constant.
-    base.with_nodes(10000).with_range(75.0 * std::sqrt(40.0 / 10000.0));
-    base.member_fraction = 1.0;
-  }
 
   const std::vector<double> duties =
-      smoke ? std::vector<double>{1.0, 0.25}
-            : mega ? std::vector<double>{0.25}
-                   : std::vector<double>{1.0, 0.5, 0.25};
+      smoke ? std::vector<double>{1.0, 0.25} : std::vector<double>{1.0, 0.5, 0.25};
   const std::vector<double> churns =
-      smoke || mega ? std::vector<double>{4} : std::vector<double>{0, 4};
+      smoke ? std::vector<double>{4} : std::vector<double>{0, 4};
   const std::vector<double> budgets =
-      smoke ? std::vector<double>{0, 64}
-            : mega ? std::vector<double>{64} : std::vector<double>{0, 16, 64, 256};
+      smoke ? std::vector<double>{0, 64} : std::vector<double>{0, 16, 64, 256};
 
-  std::printf("== Custody tier x user sessions (%u users/node%s) ==\n",
-              kSessionsPerNode, mega ? ", --mega: 2M users total" : "");
+  std::printf("== Custody tier x user sessions (%u users/node) ==\n", kSessionsPerNode);
 
-  // Each (duty, churn, budget) cell is timed like scale_smoke, so
-  // BENCH_dtn.json doubles as a perf record for the custody tier. A zero
-  // budget is the custody-off baseline.
+  // A zero budget is the custody-off baseline.
   bench::Grid grid{"dtn", "custody_max_msgs",
                    [](harness::ScenarioConfig& c, double x) {
                      c.custody.enabled = x > 0.0;
@@ -101,32 +86,33 @@ int main(int argc, char** argv) {
         char label[96];
         std::snprintf(label, sizeof label, "duty=%.2f churn=%g budget=%g",
                       duty, churn, budget);
-        std::printf("-- %s --\n", label);
-        std::fflush(stdout);
         std::ostringstream fields;
         fields << ", \"duty\": " << duty << ", \"churn_per_min\": " << churn
                << ", \"custody_max_msgs\": " << budget;
-        for (const harness::FigureSeries& s :
-             grid.run(label, fields.str(), cell_base, budget).series) {
-          const harness::SeriesPoint& p = s.points.front();
-          std::printf("  %-16s delivery=%.2f users=%llu/%llu (%.2f) "
-                      "custody stored=%llu offered=%llu accepted=%llu\n",
-                      s.name.c_str(), p.mean_delivery_ratio,
-                      static_cast<unsigned long long>(p.mean_users_served),
-                      static_cast<unsigned long long>(p.mean_user_eligible),
-                      p.mean_users_ratio,
-                      static_cast<unsigned long long>(p.mean_custody_stored),
-                      static_cast<unsigned long long>(p.mean_custody_offers),
-                      static_cast<unsigned long long>(p.mean_custody_accepted));
-        }
-        std::fflush(stdout);
+        grid.add(label, fields.str(), cell_base, budget);
       }
+    }
+  }
+  grid.run();
+  for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+    std::printf("-- %s --\n", grid.cells[i].label.c_str());
+    for (const harness::FigureSeries& s : grid.result.series) {
+      const harness::SeriesPoint& p = s.points[i];
+      std::printf("  %-16s delivery=%.2f users=%llu/%llu (%.2f) "
+                  "custody stored=%llu offered=%llu accepted=%llu\n",
+                  s.name.c_str(), p.mean_delivery_ratio,
+                  static_cast<unsigned long long>(p.mean_users_served),
+                  static_cast<unsigned long long>(p.mean_user_eligible),
+                  p.mean_users_ratio,
+                  static_cast<unsigned long long>(p.mean_custody_stored),
+                  static_cast<unsigned long long>(p.mean_custody_offers),
+                  static_cast<unsigned long long>(p.mean_custody_accepted));
     }
   }
 
   const std::string header =
       "  \"sessions_per_node\": " + std::to_string(kSessionsPerNode) + ",\n";
-  if (!grid.write_json("BENCH_dtn.json", header, harness::Sink::dtn)) {
+  if (!grid.write_json("BENCH_dtn.json", header)) {
     std::fprintf(stderr, "error: failed to write BENCH_dtn.json\n");
     return 1;
   }

@@ -13,7 +13,7 @@ Enforces the written-but-previously-unchecked rules of this simulator
                clocks in simulation code — all randomness flows from the
                per-run sim::RngFactory streams and all time from the sim
                clock. Harness-level wall-clock *measurement* must be
-               annotated (see scale_smoke.cpp).
+               annotated (see harness/experiment_builder.cpp).
   rawalloc     no raw new/delete/malloc/free in the phy/mac hot path or
                in net/data_plane.* — per-packet allocation goes through
                the pooled PacketPtr path. (The pool itself is the

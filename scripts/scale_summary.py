@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Renders BENCH_scale.json (or BENCH_dtn/BENCH_adversary.json) as a
-markdown table.
+"""Renders a grid bench's JSON (BENCH_scale.json, BENCH_dtn.json,
+BENCH_adversary.json, ...) as a markdown table.
 
-Used by the Release CI job to append a wall-clock + events/sec summary to
-$GITHUB_STEP_SUMMARY, so perf regressions are visible on the PR page
-without downloading the artifact. BENCH_dtn.json and BENCH_adversary.json
-share the same points/series shape (each point labels a grid cell instead
-of a node count), so one renderer covers all three; the "users served" column shows the session
-layer's served/eligible ratio when a series carries session metrics and
-an em-dash placeholder when it does not (every pre-custody BENCH file);
-the "trust iso/fp" column does the same for the adversary axis' isolation
-and false-positive counts (BENCH_adversary.json only).
+Used by the Release CI job to append a run-seconds + events/sec summary
+to $GITHUB_STEP_SUMMARY, so perf regressions are visible on the PR page
+without downloading the artifact. Every grid bench writes the same
+points/series shape (a point per grid cell, with its label), so one
+renderer covers them all. "run (s)" is a point's run_s: the host seconds
+of its runs summed over protocols and seeds, not the bench's wall clock.
+The "users served" column shows the session layer's served/eligible
+ratio for each series that ran user sessions, and an em-dash placeholder
+when none did (every grid JSON writes the session keys, zero without
+sessions); the "trust iso/fp" column does the same for the adversary
+axis' isolation and false-positive counts, for each series that had
+adversaries or isolated anyone.
 
 Runs under `if: always()`, so it must exit 0 and print something
 readable for every degraded input: missing file, truncated JSON, a
@@ -47,32 +50,32 @@ def _fmt_protocols(point):
 
 
 def _fmt_users_served(point):
-    """Per-protocol users-served ratio, or a placeholder when the point
-    carries no session metrics (every pre-custody BENCH file)."""
+    """Per-protocol users-served ratio, or a placeholder when no series
+    of the point ran user sessions."""
     parts = [
         f"{s.get('name', '?')}={_num(s.get('users_served_ratio')):.2f}"
         for s in _series_of(point)
-        if "users_served_ratio" in s
+        if _num(s.get("sessions")) > 0
     ]
     return ", ".join(parts) if parts else "—"
 
 
 def _fmt_trust(point):
     """Per-protocol isolation/false-positive counts, or a placeholder
-    when the point predates the adversary axis (every BENCH file other
-    than BENCH_adversary.json)."""
+    when no series of the point had adversaries or isolated a node."""
     parts = [
         f"{s.get('name', '?')}={_num(s.get('trust_isolations')):.1f}"
         f"/{_num(s.get('trust_false_positives')):.1f}"
         for s in _series_of(point)
-        if "trust_isolations" in s
+        if any(_num(s.get(k)) > 0 for k in
+               ("adversary_nodes", "trust_isolations", "trust_false_positives"))
     ]
     return ", ".join(parts) if parts else "—"
 
 
 def _point_label(point):
-    """scale points are labeled by node count; dtn points carry an
-    explicit grid-cell label."""
+    """A point's grid-cell label, or its node count in BENCH files that
+    predate labels."""
     return point.get("label", point.get("nodes", "?"))
 
 
@@ -108,12 +111,12 @@ def main() -> int:
     else:
         print(f"seeds: {seeds}\n")
     print(
-        "| point | sim (s) | wall (s) | sim events | events/sec "
+        "| point | sim (s) | run (s) | sim events | events/sec "
         "| events elided | per-protocol delivery "
         "| users served | trust iso/fp |"
     )
     print(
-        "|:------|--------:|---------:|-----------:|-----------:"
+        "|:------|--------:|--------:|-----------:|-----------:"
         "|--------------:|:----------------------"
         "|:-------------|:-------------|"
     )
@@ -142,7 +145,7 @@ def main() -> int:
         print(
             f"| {_point_label(point)} "
             f"| {sim_cell} "
-            f"| {_num(point.get('wall_clock_s')):.2f} "
+            f"| {_num(point.get('run_s')):.2f} "
             f"| {_num(point.get('sim_events')):,} "
             f"| {_num(point.get('events_per_sec')):,.0f} "
             f"| {elided:,} "
@@ -178,7 +181,7 @@ def main() -> int:
                 entry = mix.get(name)
                 executed = int(_num(entry.get("executed"))) if isinstance(entry, dict) else 0
                 cells.append(f"{executed:,} ({100.0 * executed / total:.0f}%)")
-            print(f"| {point.get('nodes', '?')} | " + " | ".join(cells) + " |")
+            print(f"| {_point_label(point)} | " + " | ".join(cells) + " |")
     elif points:
         print("\n_event_mix absent from every point (pre-PR-5 BENCH file?) — "
               "per-category table skipped_")

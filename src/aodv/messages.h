@@ -52,7 +52,7 @@ struct RrepMsg {
 
 // Route error: lists destinations that became unreachable through the
 // sender. Broadcast to neighbors (we do not keep precursor lists; see
-// DESIGN.md for the documented simplification).
+// ARCHITECTURE.md "Model simplifications" for what that costs).
 struct RerrMsg {
   struct Unreachable {
     net::NodeId dest;

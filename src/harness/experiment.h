@@ -16,23 +16,16 @@
 
 namespace ag::harness {
 
-// The JSON outputs a per-point metric can be written to: the figure
-// sink (ExperimentResult::write_json, and the fig8_goodput and
-// ablation_locality grids) and the three bench-specific writers
-// (scale_smoke, figure_dtn, figure_adversary).
-enum class Sink : unsigned { figure = 1, scale = 2, dtn = 4, adversary = 8 };
+// The two JSON outputs of a point: the figure sink
+// (ExperimentResult::write_json, one point per x of a single-axis sweep)
+// and the grid sink (bench::Grid::write_json, one point per grid cell).
+enum class Sink { figure, grid };
 
-[[nodiscard]] constexpr unsigned operator|(unsigned a, Sink b) {
-  return a | static_cast<unsigned>(b);
-}
-[[nodiscard]] constexpr unsigned operator|(Sink a, Sink b) {
-  return static_cast<unsigned>(a) | b;
-}
-
-// Which SeriesPoint flag a metric row is gated on. The figure sink only
-// writes a dtn/adversary row when that flag is set, so figures without
-// the subsystem (fig2, churn, ...) never carry its fields.
-enum class Gate { always, dtn, adversary };
+// When a metric row appears in the figure sink: a dtn/adversary row only
+// when the point's flag of that name is set, so figures without the
+// subsystem (fig2, churn, ...) never carry its fields, and a grid row
+// never. The grid sink writes every row.
+enum class Gate { always, dtn, adversary, grid };
 
 namespace metric {
 
@@ -68,65 +61,53 @@ struct WeightedMean {
 // Every per-point metric, in JSON key order. One row is
 //
 //   X(member, "json_key", aggregation, default, gate,
-//     sinks, per-run value read from `const stats::RunResult& r`)
+//     per-run value read from `const stats::RunResult& r`)
 //
 // The table generates the SeriesPoint members (with their defaults, kept
 // when a point has no runs), the seed loop in aggregate_point and every
 // write_point_fields emitter; a metric's key is typed nowhere else.
-#define AG_POINT_METRICS(X)                                                         \
-  X(mean_delivery_ratio, "delivery_ratio", F64Mean, 0, always,                     \
-    Sink::figure | Sink::scale | Sink::dtn | Sink::adversary, r.delivery_ratio())  \
-  X(mean_goodput_pct, "goodput_pct", F64Mean, 100, always,                         \
-    Sink::figure, r.mean_goodput_pct())                                             \
-  X(mean_transmissions, "transmissions", U64Mean, 0, always,                       \
-    Sink::figure | Sink::scale | Sink::dtn | Sink::adversary,                       \
-    r.totals.channel_transmissions)                                                 \
-  /* Phy work done: channel receiver decisions. */                                  \
-  X(mean_deliveries, "deliveries", U64Mean, 0, always,                             \
-    Sink::figure | Sink::scale, r.totals.phy_deliveries)                            \
-  X(mean_suppressed_down, "suppressed_down", U64Mean, 0, always,                   \
-    Sink::figure | Sink::scale, r.totals.phy_suppressed_down)                       \
-  X(mean_suppressed_partition, "suppressed_partition", U64Mean, 0, always,         \
-    Sink::figure | Sink::scale, r.totals.phy_suppressed_partition)                  \
-  /* Data-plane work: table ops and packet-pool behaviour. */                       \
-  X(mean_table_probes, "table_probes", U64Mean, 0, always,                         \
-    Sink::figure | Sink::scale, r.totals.table_probes)                              \
-  X(mean_pool_hits, "pool_hits", U64Mean, 0, always,                               \
-    Sink::figure | Sink::scale, r.totals.pool_hits)                                 \
-  X(mean_pool_misses, "pool_misses", U64Mean, 0, always,                           \
-    Sink::figure | Sink::scale, r.totals.pool_misses)                               \
-  X(mean_table_bytes, "table_bytes", U64Mean, 0, always,                           \
-    Sink::scale, r.totals.table_bytes)                                              \
-  /* DTN custody tier and user sessions. */                                         \
-  X(mean_sessions, "sessions", U64Mean, 0, dtn,                                    \
-    Sink::figure | Sink::dtn, r.totals.sessions.sessions)                           \
-  X(mean_users_served, "users_served", U64Mean, 0, dtn,                            \
-    Sink::figure | Sink::dtn, r.totals.sessions.users_served)                       \
-  X(mean_user_eligible, "user_eligible", U64Mean, 0, dtn,                          \
-    Sink::figure | Sink::dtn, r.totals.sessions.user_eligible)                      \
-  X(mean_users_ratio, "users_served_ratio", F64Mean, 0, dtn,                       \
-    Sink::figure | Sink::dtn, r.totals.sessions.served_ratio())                     \
-  X(mean_custody_stored, "custody_stored", U64Mean, 0, dtn,                        \
-    Sink::figure | Sink::dtn, r.totals.custody_stored)                              \
-  X(mean_custody_offers, "custody_offers", U64Mean, 0, dtn,                        \
-    Sink::figure | Sink::dtn, r.totals.custody_offers)                              \
-  X(mean_custody_accepted, "custody_accepted", U64Mean, 0, dtn,                    \
-    Sink::figure | Sink::dtn, r.totals.custody_accepted)                            \
-  /* Adversary axis and trust layer. */                                             \
-  X(mean_adversary_nodes, "adversary_nodes", U64Mean, 0, adversary,                \
-    Sink::figure | Sink::adversary, r.totals.adversary_nodes)                       \
-  X(mean_adversary_absorbed, "adversary_absorbed", U64Mean, 0, adversary,          \
-    Sink::figure | Sink::adversary, r.totals.adversary_absorbed)                    \
-  X(mean_adversary_poisoned, "adversary_poisoned", U64Mean, 0, adversary,          \
-    Sink::figure | Sink::adversary, r.totals.adversary_poisoned)                    \
-  X(mean_trust_isolations, "trust_isolations", F64Mean, 0, adversary,              \
-    Sink::figure | Sink::adversary, r.totals.trust_isolations)                      \
-  X(mean_trust_false_positives, "trust_false_positives", F64Mean, 0, adversary,    \
-    Sink::figure | Sink::adversary, r.totals.trust_false_positives)                 \
-  X(mean_trust_filtered, "trust_filtered", U64Mean, 0, adversary,                  \
-    Sink::figure | Sink::adversary, r.totals.trust_filtered)                        \
-  X(mean_detection_latency_s, "detection_latency_s", WeightedMean, 0, adversary,   \
-    Sink::figure | Sink::adversary,                                                 \
+#define AG_POINT_METRICS(X)                                                          \
+  X(mean_delivery_ratio, "delivery_ratio", F64Mean, 0, always, r.delivery_ratio())   \
+  X(mean_goodput_pct, "goodput_pct", F64Mean, 100, always, r.mean_goodput_pct())     \
+  X(mean_transmissions, "transmissions", U64Mean, 0, always,                         \
+    r.totals.channel_transmissions)                                                  \
+  /* Phy work done: channel receiver decisions. */                                   \
+  X(mean_deliveries, "deliveries", U64Mean, 0, always, r.totals.phy_deliveries)      \
+  X(mean_suppressed_down, "suppressed_down", U64Mean, 0, always,                     \
+    r.totals.phy_suppressed_down)                                                    \
+  X(mean_suppressed_partition, "suppressed_partition", U64Mean, 0, always,           \
+    r.totals.phy_suppressed_partition)                                               \
+  /* Data-plane work: table ops and packet-pool behaviour. */                        \
+  X(mean_table_probes, "table_probes", U64Mean, 0, always, r.totals.table_probes)    \
+  X(mean_pool_hits, "pool_hits", U64Mean, 0, always, r.totals.pool_hits)             \
+  X(mean_pool_misses, "pool_misses", U64Mean, 0, always, r.totals.pool_misses)       \
+  X(mean_table_bytes, "table_bytes", U64Mean, 0, grid, r.totals.table_bytes)         \
+  /* DTN custody tier and user sessions. */                                          \
+  X(mean_sessions, "sessions", U64Mean, 0, dtn, r.totals.sessions.sessions)          \
+  X(mean_users_served, "users_served", U64Mean, 0, dtn,                              \
+    r.totals.sessions.users_served)                                                  \
+  X(mean_user_eligible, "user_eligible", U64Mean, 0, dtn,                            \
+    r.totals.sessions.user_eligible)                                                 \
+  X(mean_users_ratio, "users_served_ratio", F64Mean, 0, dtn,                         \
+    r.totals.sessions.served_ratio())                                                \
+  X(mean_custody_stored, "custody_stored", U64Mean, 0, dtn, r.totals.custody_stored) \
+  X(mean_custody_offers, "custody_offers", U64Mean, 0, dtn, r.totals.custody_offers) \
+  X(mean_custody_accepted, "custody_accepted", U64Mean, 0, dtn,                      \
+    r.totals.custody_accepted)                                                       \
+  /* Adversary axis and trust layer. */                                              \
+  X(mean_adversary_nodes, "adversary_nodes", U64Mean, 0, adversary,                  \
+    r.totals.adversary_nodes)                                                        \
+  X(mean_adversary_absorbed, "adversary_absorbed", U64Mean, 0, adversary,            \
+    r.totals.adversary_absorbed)                                                     \
+  X(mean_adversary_poisoned, "adversary_poisoned", U64Mean, 0, adversary,            \
+    r.totals.adversary_poisoned)                                                     \
+  X(mean_trust_isolations, "trust_isolations", F64Mean, 0, adversary,                \
+    r.totals.trust_isolations)                                                       \
+  X(mean_trust_false_positives, "trust_false_positives", F64Mean, 0, adversary,      \
+    r.totals.trust_false_positives)                                                  \
+  X(mean_trust_filtered, "trust_filtered", U64Mean, 0, adversary,                    \
+    r.totals.trust_filtered)                                                         \
+  X(mean_detection_latency_s, "detection_latency_s", WeightedMean, 0, adversary,     \
     std::make_pair(r.totals.trust_detection_latency_s, r.totals.trust_detections))
 
 struct SeriesPoint {
@@ -136,11 +117,16 @@ struct SeriesPoint {
   // the adversary axis; the figure sink's row gates (see Gate).
   bool dtn_active{false};
   bool adversary_active{false};
-#define AG_POINT_MEMBER(member, key, agg, init, gate, sinks, expr) \
+#define AG_POINT_MEMBER(member, key, agg, init, gate, expr) \
   metric::agg::value_type member{init};
   AG_POINT_METRICS(AG_POINT_MEMBER)
 #undef AG_POINT_MEMBER
   std::vector<stats::RunResult> runs;   // raw results (one per seed)
+  // Host seconds the point's run_scenario calls took, summed over its
+  // seeds (set by ExperimentBuilder::run). A measurement of the host,
+  // not of the simulation: it differs between runs, so it stays out of
+  // RunResult and out of the figure sink.
+  double host_s{0.0};
 };
 
 // Folds per-seed results (in seed order) into one point; the
@@ -148,10 +134,9 @@ struct SeriesPoint {
 [[nodiscard]] SeriesPoint aggregate_point(double x, std::vector<stats::RunResult> runs);
 
 // Writes the point's fields for `sink` as `, "key": value` pairs: the
-// received-packet summary (all five fields in the figure sink,
-// received_mean elsewhere), then every AG_POINT_METRICS row declared for
-// the sink, in table order. Only the figure sink applies the row gates.
-// Numbers use the stream's current precision.
+// received-packet summary, then the AG_POINT_METRICS rows in table
+// order, those the figure sink gates off left out (see Gate). Numbers
+// use the stream's current precision.
 void write_point_fields(std::ostream& out, const SeriesPoint& p, Sink sink);
 
 // Number of seeds per point: AG_SEEDS env var, else `fallback`. Zero,

@@ -1,9 +1,11 @@
 #include "harness/experiment_builder.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <iomanip>
 #include <iterator>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -84,6 +86,9 @@ ExperimentResult ExperimentBuilder::run() const {
   // order the workers finish in, so parallel runs match serial ones.
   const std::size_t total = protocols.size() * values_.size() * seeds;
   std::vector<stats::RunResult> results(total);
+  std::vector<double> host_s(total);
+  // ag-lint: allow(determinism, times runs for SeriesPoint::host_s; the simulation never reads it)
+  using Clock = std::chrono::steady_clock;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   auto worker = [&] {
@@ -92,7 +97,9 @@ ExperimentResult ExperimentBuilder::run() const {
       apply_(c, values_[(i / seeds) % values_.size()]);
       c.with_protocol(protocols[i / (values_.size() * seeds)]);
       c.with_seed(static_cast<std::uint32_t>(i % seeds) + 1);
+      const Clock::time_point start = Clock::now();
       results[i] = run_scenario(c);
+      host_s[i] = std::chrono::duration<double>(Clock::now() - start).count();
       const std::size_t completed = done.fetch_add(1) + 1;
       if (progress_) progress_(completed, total);
     }
@@ -117,11 +124,12 @@ ExperimentResult ExperimentBuilder::run() const {
   for (std::size_t p = 0; p < protocols.size(); ++p) {
     FigureSeries series{registry.name_of(protocols[p]), {}};
     for (std::size_t v = 0; v < values_.size(); ++v) {
-      const auto first = std::make_move_iterator(
-          results.begin() +
-          static_cast<std::ptrdiff_t>((p * values_.size() + v) * seeds));
-      series.points.push_back(
+      const auto offset = static_cast<std::ptrdiff_t>((p * values_.size() + v) * seeds);
+      const auto first = std::make_move_iterator(results.begin() + offset);
+      SeriesPoint& point = series.points.emplace_back(
           aggregate_point(values_[v], std::vector<stats::RunResult>(first, first + seeds)));
+      point.host_s = std::accumulate(host_s.begin() + offset,
+                                     host_s.begin() + offset + seeds, 0.0);
     }
     out.series.push_back(std::move(series));
   }

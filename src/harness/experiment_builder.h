@@ -66,7 +66,8 @@ class ExperimentBuilder {
   ExperimentBuilder& on_progress(std::function<void(std::size_t done, std::size_t total)> fn);
 
   // In-process run: every (protocol, x, seed) cell on the thread pool,
-  // aggregated in slot order.
+  // aggregated in slot order. Each run_scenario call is timed, and a
+  // point's host_s is the sum over its seeds.
   [[nodiscard]] ExperimentResult run() const;
 
  private:

@@ -3,7 +3,8 @@
 // the medium is busy, positive ACK with retransmission for unicast, and
 // unacknowledged single-shot broadcast. RTS/CTS and the NAV are omitted
 // (64-byte data frames sit below any reasonable RTS threshold; see
-// DESIGN.md). Failed unicasts surface as link-break feedback to routing.
+// ARCHITECTURE.md "Model simplifications"). Failed unicasts surface as
+// link-break feedback to routing.
 //
 // The contention countdown is event-elided by default: DIFS deference and
 // the remaining backoff slots fuse into ONE scheduled deadline, and a

@@ -50,7 +50,7 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
       // logical-op counts, so they must be scheduling-independent too — a
       // thread-local slab leaking state between workers shows up here
       // before it corrupts payloads.
-#define AG_EXPECT_SAME(member, key, agg, init, gate, sinks, expr) \
+#define AG_EXPECT_SAME(member, key, agg, init, gate, expr) \
   EXPECT_EQ(pa.member, pb.member) << key;
       AG_POINT_METRICS(AG_EXPECT_SAME)
 #undef AG_EXPECT_SAME

@@ -1,7 +1,8 @@
 // The fluent experiment API: sweep wiring, JSON emission (and the
 // AtomicFile commit-or-nothing writes behind it), and the parallelism
 // contract — multi-seed points executed across N worker threads must be
-// bit-identical to the serial run for fixed seeds.
+// bit-identical to the serial run for fixed seeds. Also the benches'
+// bench::Grid, which runs a grid of cells as one such sweep.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,7 @@
 
 #include <unistd.h>
 
+#include "figure_common.h"
 #include "harness/atomic_io.h"
 #include "harness/experiment_builder.h"
 
@@ -271,8 +273,6 @@ TEST(PointMetrics, EachSinkEmitsItsDeclaredKeysInOrder) {
       concat({"received_mean", "received_min", "received_max", "received_stddev",
               "receivers", "delivery_ratio", "goodput_pct", "transmissions"},
              kPhyAndDataPlane);
-  const std::vector<std::string> bench_core{"received_mean", "delivery_ratio",
-                                            "transmissions"};
   const SeriesPoint off = synthetic_point(false, false);
   // The figure sink drops gated rows whose flag is off...
   EXPECT_EQ(keys_written(off, Sink::figure), figure_core);
@@ -283,24 +283,71 @@ TEST(PointMetrics, EachSinkEmitsItsDeclaredKeysInOrder) {
             concat(figure_core, kAdversaryKeys));
   EXPECT_EQ(keys_written(synthetic_point(true, true), Sink::figure),
             concat(concat(figure_core, kDtnKeys), kAdversaryKeys));
-  // The bench sinks carry their rows unconditionally; table_bytes goes
-  // to the scale sink only.
-  EXPECT_EQ(keys_written(off, Sink::scale),
-            concat(concat(bench_core, kPhyAndDataPlane), {"table_bytes"}));
-  EXPECT_EQ(keys_written(off, Sink::dtn), concat(bench_core, kDtnKeys));
-  EXPECT_EQ(keys_written(off, Sink::adversary), concat(bench_core, kAdversaryKeys));
+  // The grid sink writes every row in table order, whatever the flags;
+  // table_bytes (Gate::grid) appears nowhere else.
+  const std::vector<std::string> every_key =
+      concat(concat(concat(figure_core, {"table_bytes"}), kDtnKeys), kAdversaryKeys);
+  EXPECT_EQ(keys_written(off, Sink::grid), every_key);
+  EXPECT_EQ(keys_written(synthetic_point(true, true), Sink::grid), every_key);
 }
 
 TEST(PointMetrics, FieldsUseTheCallersPrecision) {
   const SeriesPoint p = synthetic_point(false, false);
   std::ostringstream out;
   out << std::setprecision(3);
-  write_point_fields(out, p, Sink::scale);
+  write_point_fields(out, p, Sink::grid);
   EXPECT_EQ(out.str(),
-            ", \"received_mean\": 3.5, \"delivery_ratio\": 0.35, "
-            "\"transmissions\": 3, \"deliveries\": 36, \"suppressed_down\": 5, "
-            "\"suppressed_partition\": 7, \"table_probes\": 350, \"pool_hits\": 10, "
-            "\"pool_misses\": 3, \"table_bytes\": 3501");
+            ", \"received_mean\": 3.5, \"received_min\": 3, \"received_max\": 4, "
+            "\"received_stddev\": 0.707, \"receivers\": 2, \"delivery_ratio\": 0.35, "
+            "\"goodput_pct\": 62.5, \"transmissions\": 3, \"deliveries\": 36, "
+            "\"suppressed_down\": 5, \"suppressed_partition\": 7, \"table_probes\": 350, "
+            "\"pool_hits\": 10, \"pool_misses\": 3, \"table_bytes\": 3501, "
+            "\"sessions\": 3, \"users_served\": 3, \"user_eligible\": 7, "
+            "\"users_served_ratio\": 0.5, \"custody_stored\": 3, \"custody_offers\": 17, "
+            "\"custody_accepted\": 3, \"adversary_nodes\": 3, \"adversary_absorbed\": 24, "
+            "\"adversary_poisoned\": 3, \"trust_isolations\": 3.5, "
+            "\"trust_false_positives\": 0.5, \"trust_filtered\": 31, "
+            "\"detection_latency_s\": 0");
+}
+
+// A grid runs all its cells as one sweep. Each point must still equal
+// what its cell gives as a single-value sweep of its own, on every
+// metric row and run seed, and carry the cell's x and its host time.
+TEST(Grid, EachPointMatchesItsCellsOwnSweep) {
+  ScenarioConfig larger = tiny_base();
+  larger.node_count = 14;
+  const std::vector<ScenarioConfig> bases{tiny_base(), larger};
+  const std::vector<double> xs{65.0, 80.0};
+  bench::Grid grid{"grid_test", "range_m", set_range, 2,
+                   {Protocol::maodv_gossip, Protocol::maodv}};
+  for (std::size_t i = 0; i < bases.size(); ++i) grid.add("cell", "", bases[i], xs[i]);
+  grid.run();
+  ASSERT_EQ(grid.result.series.size(), 2u);
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    const ExperimentResult own = Experiment::sweep("range_m", {xs[i]}, set_range)
+                                     .base(bases[i])
+                                     .protocols(grid.protocols)
+                                     .seeds(2)
+                                     .run();
+    for (std::size_t s = 0; s < own.series.size(); ++s) {
+      ASSERT_EQ(grid.result.series[s].points.size(), bases.size());
+      const SeriesPoint& p = grid.result.series[s].points[i];
+      const SeriesPoint& q = own.series[s].points.front();
+      EXPECT_EQ(p.x, xs[i]);
+      EXPECT_GT(p.host_s, 0.0);
+      EXPECT_EQ(p.received.mean, q.received.mean);
+      EXPECT_EQ(p.received.n, q.received.n);
+#define AG_EXPECT_SAME(member, key, agg, init, gate, expr) \
+  EXPECT_EQ(p.member, q.member) << key << " in cell " << i;
+      AG_POINT_METRICS(AG_EXPECT_SAME)
+#undef AG_EXPECT_SAME
+      ASSERT_EQ(p.runs.size(), q.runs.size());
+      for (std::size_t r = 0; r < p.runs.size(); ++r) {
+        EXPECT_EQ(p.runs[r].seed, q.runs[r].seed);
+      }
+    }
+  }
+  EXPECT_GT(grid.run_s(0), 0.0);
 }
 
 TEST_F(AtomicFileTest, AtomicFileCommitsOrLeavesNothing) {

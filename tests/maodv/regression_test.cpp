@@ -1,7 +1,7 @@
 // Regression tests for protocol bugs found while bringing the stack up —
 // each of these silently destroyed delivery in full-scale runs before it
-// was fixed, so they are pinned here (see DESIGN.md "Implementation
-// findings").
+// was fixed, so they are pinned here, each under a comment naming the
+// bug.
 #include <gtest/gtest.h>
 
 #include "testutil/stack_fixture.h"
